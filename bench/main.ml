@@ -86,19 +86,14 @@ let build_sized mb =
   assert_lint_clean store doc;
   { mb; store; doc; source = Xml.Writer.to_string tree }
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
 (* very fast runs are repeated for a stable reading *)
 let measure f =
-  let r, t = time f in
+  let r, t = Obs.time f in
   if t >= 0.05 then (r, t)
   else begin
     let n = 9 in
     let _, total =
-      time (fun () ->
+      Obs.time (fun () ->
           for _ = 1 to n do
             ignore (f ())
           done)
@@ -116,10 +111,10 @@ let pp_cell = function
 
 let run_scan sized query =
   let scan = Baselines.Scan_engine.create sized.store sized.doc in
-  let deadline = Unix.gettimeofday () +. scan_time_budget in
-  let result, t = time (fun () -> Baselines.Scan_engine.query_ranks scan query) in
+  let deadline = Obs.clock () +. scan_time_budget in
+  let result, t = Obs.time (fun () -> Baselines.Scan_engine.query_ranks scan query) in
   match result with
-  | Ok _ when Unix.gettimeofday () <= deadline -> Time t
+  | Ok _ when Obs.clock () <= deadline -> Time t
   | Ok _ -> Dnf "time"
   | Error _ -> Dnf "unsup"
 
@@ -402,7 +397,7 @@ let print_disk sizes =
           in
           Store.reset_io_stats store;
           let _, t =
-            time (fun () ->
+            Obs.time (fun () ->
                 List.iter
                   (fun (label, q) ->
                     match
@@ -788,7 +783,7 @@ let calibrate () =
   in
   let best = ref infinity in
   for _ = 1 to 5 do
-    let _, t = time (fun () -> work ()) in
+    let _, t = Obs.time (fun () -> work ()) in
     if t < !best then best := t
   done;
   !best *. 1000.
@@ -1290,7 +1285,7 @@ let () =
     let sizeds =
       List.map
         (fun mb ->
-          let s, t = time (fun () -> build_sized mb) in
+          let s, t = Obs.time (fun () -> build_sized mb) in
           Printf.printf "  %.0f MB: %d records (%.1fs)\n%!" mb (Store.total_records s.store) t;
           s)
         !sizes

@@ -748,16 +748,17 @@ let run_serve file xmark_mb snapshot data_dir queries_file repeat no_optimize pl
        Printf.printf "%-44s %5s %10s %8s %6s %6s %7s %9s %6s %6s\n" "query" "qid" "ms" "results"
          "plan" "result" "pages" "wal_bytes" "fsyncs" "drift";
      List.iter
-       (fun (sq : Vamana_service.Service.slow_query) ->
+       (fun (r : Vamana_service.Service.record) ->
+         let a = r.Vamana_service.Service.r_attribution in
          Printf.printf "%-44s %5d %10.3f %8d %6s %6s %7d %9d %6d %6.2f\n"
-           sq.Vamana_service.Service.sq_query sq.Vamana_service.Service.sq_qid
-           (sq.Vamana_service.Service.sq_total_time *. 1000.)
-           sq.Vamana_service.Service.sq_results
-           (cache_tag sq.Vamana_service.Service.sq_plan_cache)
-           (cache_tag sq.Vamana_service.Service.sq_result_cache)
-           sq.Vamana_service.Service.sq_io.Storage.Stats.logical_reads
-           sq.Vamana_service.Service.sq_wal_bytes sq.Vamana_service.Service.sq_fsyncs
-           sq.Vamana_service.Service.sq_drift)
+           r.Vamana_service.Service.r_source r.Vamana_service.Service.r_qid
+           (r.Vamana_service.Service.r_total_time *. 1000.)
+           r.Vamana_service.Service.r_results
+           (cache_tag r.Vamana_service.Service.r_plan_cache)
+           (cache_tag r.Vamana_service.Service.r_result_cache)
+           a.Vamana.Engine.attr_io.Storage.Stats.logical_reads
+           a.Vamana.Engine.attr_wal_bytes a.Vamana.Engine.attr_fsyncs
+           r.Vamana_service.Service.r_drift)
        slow
    end);
   let snapshot_out =

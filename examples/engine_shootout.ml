@@ -22,11 +22,6 @@ let () =
   Printf.printf "Document: %.1f MB scale (%d records)\nQuery: %s\n\n" megabytes
     (Store.total_records store) query;
 
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let show name result seconds reads =
     match result with
     | Ok ranks ->
@@ -38,7 +33,7 @@ let () =
 
   Store.reset_io_stats store;
   let vqp, t_vqp =
-    time (fun () ->
+    Obs.time (fun () ->
         Result.map
           (fun (r : Vamana.Engine.result) -> List.map (Store.document_rank store) r.Vamana.Engine.keys)
           (Vamana.Engine.query ~optimize:false store ~context:doc.Store.doc_key query))
@@ -48,7 +43,7 @@ let () =
 
   Store.reset_io_stats store;
   let opt, t_opt =
-    time (fun () ->
+    Obs.time (fun () ->
         Result.map
           (fun (r : Vamana.Engine.result) -> List.map (Store.document_rank store) r.Vamana.Engine.keys)
           (Vamana.Engine.query ~optimize:true store ~context:doc.Store.doc_key query))
@@ -59,7 +54,7 @@ let () =
   (* the DOM engine pays parse + build per query, as a file-based engine does *)
   let source = Xml.Writer.to_string tree in
   let dom, t_dom =
-    time (fun () ->
+    Obs.time (fun () ->
         let d = Baselines.Dom_engine.create (Xml.Parser.parse source) in
         Baselines.Dom_engine.query_ranks d query)
   in
@@ -67,14 +62,15 @@ let () =
 
   Store.reset_io_stats store;
   let scan, t_scan =
-    time (fun () -> Baselines.Scan_engine.query_ranks (Baselines.Scan_engine.create store doc) query)
+    Obs.time (fun () ->
+        Baselines.Scan_engine.query_ranks (Baselines.Scan_engine.create store doc) query)
   in
   let scan_reads = (Store.io_stats store).Storage.Stats.logical_reads in
   show "Sequential scan" scan t_scan (Some scan_reads);
 
   Store.reset_io_stats store;
   let join, t_join =
-    time (fun () ->
+    Obs.time (fun () ->
         match Baselines.Join_engine.create store doc with
         | j -> Baselines.Join_engine.query_ranks j query
         | exception Baselines.Join_engine.Document_too_large _ -> Error "document too large")

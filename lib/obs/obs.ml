@@ -1,10 +1,15 @@
+module Json = Json
+
 type severity = Debug | Info | Warn | Error
 
-type value =
+type value = Json.t =
+  | Null
+  | Bool of bool
   | Int of int
   | Float of float
   | Str of string
-  | Bool of bool
+  | Arr of value list
+  | Obj of (string * value) list
 
 type event = {
   seq : int;
@@ -59,11 +64,23 @@ type sampler = { mutable rate : int; mutable tick : int }
 
 let samplers : (string, sampler) Hashtbl.t = Hashtbl.create 16
 
-(* the bus clock starts on first use; timestamps are seconds since then,
-   monotone because they come from one process-local origin *)
+(* ---- clock ----
+
+   Every duration in the code base is a difference of [clock] readings:
+   CLOCK_MONOTONIC, so spans and event timestamps never jump when the
+   system clock is set.  Wall-clock time is for timestamps only. *)
+
+let clock () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
+let time f =
+  let t0 = clock () in
+  let r = f () in
+  (r, clock () -. t0)
+
+(* the bus clock starts on first use; timestamps are seconds since then *)
 let epoch = ref nan
 let now () =
-  let t = Unix.gettimeofday () in
+  let t = clock () in
   if Float.is_nan !epoch then epoch := t;
   t -. !epoch
 
@@ -185,75 +202,40 @@ let emit ?(severity = Info) ~category name attrs =
 
 let time_span ?severity ~category name attrs f =
   if !active_flag then begin
-    let t0 = Unix.gettimeofday () in
+    let t0 = clock () in
     match f () with
     | r ->
-        let dur_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+        let dur_ms = (clock () -. t0) *. 1000. in
         emit ?severity ~category name (attrs @ [ ("dur_ms", Float dur_ms) ]);
         r
     | exception exn ->
         (* a span that raises still happened: emit it with the error
            attached so failed queries appear in traces, then re-raise *)
         let bt = Printexc.get_raw_backtrace () in
-        let dur_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+        let dur_ms = (clock () -. t0) *. 1000. in
         emit ~severity:Error ~category name
           (attrs @ [ ("dur_ms", Float dur_ms); ("error", Str (Printexc.to_string exn)) ]);
         Printexc.raise_with_backtrace exn bt
   end
   else f ()
 
-(* ---- JSON / text rendering ----
+(* ---- JSON / text rendering ---- *)
 
-   Hand-rolled like Metrics: names are identifiers we mint, but query
-   text rides in attributes, so escape fully. *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_float f =
-  if not (Float.is_finite f) then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.6g" f
-
-let value_to_json = function
-  | Int n -> string_of_int n
-  | Float f -> json_float f
-  | Str s -> "\"" ^ json_escape s ^ "\""
-  | Bool b -> if b then "true" else "false"
-
+(* [ts] is monotonic seconds, the same unit as the record field *)
 let to_json_string e =
-  let attrs =
-    String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (json_escape k) (value_to_json v)) e.attrs)
-  in
-  (* ts is monotonic seconds, same unit as the record field: %.9g keeps
-     microsecond resolution for hours of uptime without trailing noise *)
-  Printf.sprintf "{\"seq\":%d,\"ts\":%s,\"severity\":\"%s\",\"category\":\"%s\",\"name\":\"%s\",\"attrs\":{%s}}"
-    e.seq
-    (if Float.is_finite e.ts then Printf.sprintf "%.9g" e.ts else "null")
-    (severity_to_string e.severity)
-    (json_escape e.category) (json_escape e.name) attrs
+  Json.to_string
+    (Obj
+       [ ("seq", Int e.seq);
+         ("ts", Float e.ts);
+         ("severity", Str (severity_to_string e.severity));
+         ("category", Str e.category);
+         ("name", Str e.name);
+         ("attrs", Obj e.attrs) ])
 
 let value_to_text = function
-  | Int n -> string_of_int n
   | Float f -> Printf.sprintf "%.3f" f
   | Str s -> s
-  | Bool b -> string_of_bool b
+  | v -> Json.to_string v
 
 let to_text e =
   Printf.sprintf "%12.6f %-5s %-10s %-16s %s" e.ts
@@ -289,36 +271,23 @@ module Trace = struct
     | Some (Int ms) -> Some (Float.max 0.0 (float_of_int ms) /. 1000.)
     | _ -> None
 
-  let us t = Printf.sprintf "%.3f" (t *. 1e6)
+  let args e = ("args", Obj (("severity", Str (severity_to_string e.severity)) :: e.attrs))
 
-  let args_json attrs =
-    "{"
-    ^ String.concat ","
-        (List.map
-           (fun (k, v) -> Printf.sprintf "\"%s\":%s" (json_escape k) (value_to_json v))
-           attrs)
-    ^ "}"
+  let meta_event ~tid name value =
+    Obj
+      [ ("name", Str name); ("ph", Str "M"); ("pid", Int 1); ("tid", Int tid); ("ts", Int 0);
+        ("args", Obj [ ("name", Str value) ]) ]
 
-  let meta_event ~tid name args =
-    Printf.sprintf "{\"name\":\"%s\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"ts\":0,\"args\":%s}"
-      name tid args
+  (* [ts] in microseconds, as the format requires *)
+  let event ph ~tid ~ts e extra =
+    Obj
+      ([ ("name", Str e.name); ("cat", Str e.category); ("ph", Str ph); ("pid", Int 1);
+         ("tid", Int tid); ("ts", Float (ts *. 1e6)) ]
+      @ extra)
 
-  let begin_event ~tid ~ts e =
-    Printf.sprintf
-      "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"B\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"args\":%s}"
-      (json_escape e.name) (json_escape e.category) tid (us ts)
-      (args_json (("severity", Str (severity_to_string e.severity)) :: e.attrs))
-
-  let end_event ~tid ~ts e =
-    Printf.sprintf
-      "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"E\",\"pid\":1,\"tid\":%d,\"ts\":%s}"
-      (json_escape e.name) (json_escape e.category) tid (us ts)
-
-  let instant_event ~tid e =
-    Printf.sprintf
-      "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"args\":%s}"
-      (json_escape e.name) (json_escape e.category) tid (us e.ts)
-      (args_json (("severity", Str (severity_to_string e.severity)) :: e.attrs))
+  let begin_event ~tid ~ts e = event "B" ~tid ~ts e [ args e ]
+  let end_event ~tid ~ts e = event "E" ~tid ~ts e []
+  let instant_event ~tid e = event "i" ~tid ~ts:e.ts e [ ("s", Str "t"); args e ]
 
   let to_chrome ?(process_name = "vamana") events =
     let cats = List.sort_uniq String.compare (List.map (fun e -> e.category) events) in
@@ -374,15 +343,11 @@ module Trace = struct
       cats;
     let body = List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) (List.rev !out) in
     let meta =
-      meta_event ~tid:0 "process_name"
-        (Printf.sprintf "{\"name\":\"%s\"}" (json_escape process_name))
-      :: List.map
-           (fun (c, tid) ->
-             meta_event ~tid "thread_name" (Printf.sprintf "{\"name\":\"%s\"}" (json_escape c)))
-           tids
+      meta_event ~tid:0 "process_name" process_name
+      :: List.map (fun (c, tid) -> meta_event ~tid "thread_name" c) tids
     in
-    Printf.sprintf "{\"traceEvents\":[%s],\"displayTimeUnit\":\"ms\"}"
-      (String.concat "," (meta @ List.map snd body))
+    Json.to_string
+      (Obj [ ("traceEvents", Arr (meta @ List.map snd body)); ("displayTimeUnit", Str "ms") ])
 end
 
 (* ---- lifecycle ---- *)

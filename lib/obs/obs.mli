@@ -22,13 +22,21 @@
     category, counting the skipped ones so drains can report what was
     thinned. *)
 
+module Json = Json
+(** The shared JSON value type and its writer/parser. *)
+
 type severity = Debug | Info | Warn | Error
 
-type value =
+(** Attribute values are JSON values, so span metadata and event
+    attributes share one type and one writer. *)
+type value = Json.t =
+  | Null
+  | Bool of bool
   | Int of int
   | Float of float
   | Str of string
-  | Bool of bool
+  | Arr of value list
+  | Obj of (string * value) list
 
 type event = {
   seq : int;  (** process-wide emission sequence number, from 0 *)
@@ -44,6 +52,18 @@ type event = {
 
 val severity_to_string : severity -> string
 val severity_of_string : string -> severity option
+
+(** {1 Clock} *)
+
+val clock : unit -> float
+(** Seconds on the monotonic clock (CLOCK_MONOTONIC; unaffected by
+    system-clock adjustments) from an arbitrary origin.  Every duration
+    in the code base is a difference of two readings; wall-clock time is
+    reserved for timestamps. *)
+
+val time : (unit -> 'a) -> 'a * float
+(** [time f] runs [f] and returns its result with the elapsed
+    {!clock} seconds. *)
 
 (** {1 Hot-path gate} *)
 
@@ -142,10 +162,10 @@ val attach_jsonl : out_channel -> sink
 (** {1 JSON} *)
 
 val to_json_string : event -> string
-(** One-line JSON object:
-    [{"seq":0,"ts":0.00125,"severity":"info","category":"storage",
-      "name":"eviction","attrs":{...}}].  [ts] is the event's monotonic
-    seconds, unchanged. *)
+(** The event as a one-line JSON object, rendered by {!Json.to_string}:
+    [{"seq": 0, "ts": 0.00125, "severity": "info", "category": "storage",
+      "name": "eviction", "attrs": {...}}].  [ts] is the event's
+    monotonic seconds, unchanged. *)
 
 val to_text : event -> string
 (** One-line human rendering for [vamana events] without [--json];

@@ -196,6 +196,8 @@ let observe t r ~epoch ~latency ~pages ~results ?(estimate_q = 1.0) (rep : Profi
   end;
   crossed
 
+let sample_next r = r.hr_countdown <- 1
+
 let note_replan _t r ~epoch =
   r.hr_replans <- r.hr_replans + 1;
   r.hr_stale <- false;
@@ -203,7 +205,7 @@ let note_replan _t r ~epoch =
   r.hr_cooldown <- min 64 (1 lsl r.hr_replans);
   (* verify the recovery promptly: the re-prepared plan's next execution
      is sampled regardless of where the countdown stood *)
-  r.hr_countdown <- 1;
+  sample_next r;
   if Obs.active () then
     Obs.emit ~severity:Obs.Warn ~category:"health" "adaptive_replan"
       [ ("query", Obs.Str r.hr_query);

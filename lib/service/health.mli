@@ -28,7 +28,7 @@
 type t
 
 type sample = {
-  s_at : float;  (** [Unix.gettimeofday] at the sampled run *)
+  s_at : float;  (** wall-clock Unix seconds at the sampled run *)
   s_epoch : int;  (** store mutation epoch of the sampled run *)
   s_latency : float;  (** execute seconds *)
   s_results : int;
@@ -114,6 +114,17 @@ val observe :
     emitted if the bus is active). *)
 
 val stale : record -> bool
+
+val sample_next : record -> unit
+(** Elect the record's next execution for profiling, wherever the
+    countdown stood.  {!note_replan} calls it to verify a replan; the
+    service calls it when a slow run carried no profile, so the next
+    run of that plan brings an operator tree. *)
+
+val clamp_q : float -> float
+(** A q-error with infinities (an estimate of 0 against a nonzero
+    count, or vice versa) clamped to 256 (8 doublings), so drift
+    arithmetic stays finite but the signal stays loud. *)
 
 val note_replan : t -> record -> epoch:int -> unit
 (** The service re-prepared a stale plan: count it, reset drift and

@@ -1,4 +1,5 @@
 module H = Storage.Stats.Histogram
+module Json = Obs.Json
 
 type t = {
   counters : (string, int ref) Hashtbl.t;
@@ -82,39 +83,12 @@ let render_text ?io t =
       line "%-28s %.3f" "hit_ratio" (Storage.Stats.hit_ratio s));
   Buffer.contents buf
 
-(* ---- JSON rendering (hand-rolled: keys are identifiers we mint and
-   the only string data is metric names, but escape defensively) ---- *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_obj fields =
-  "{" ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" (json_escape k) v) fields) ^ "}"
-
-let json_float f =
-  (* JSON has no inf/nan literals; "%.6g" would emit them verbatim *)
-  if not (Float.is_finite f) then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.6g" f
+(* ---- JSON rendering ---- *)
 
 let histogram_json h =
-  let ms v = json_float (v *. 1000.) in
-  json_obj
-    [ ("count", string_of_int (H.count h));
+  let ms v = Json.Float (v *. 1000.) in
+  Json.Obj
+    [ ("count", Json.Int (H.count h));
       ("sum_ms", ms (H.sum h));
       ("mean_ms", ms (H.mean h));
       ("min_ms", ms (H.min_value h));
@@ -124,39 +98,28 @@ let histogram_json h =
       ("p99_ms", ms (H.percentile h 99.0)) ]
 
 let render_json ?io t =
-  let counters_json =
-    json_obj (List.map (fun (name, v) -> (name, string_of_int v)) (counters t))
+  let io_json (s : Storage.Stats.t) =
+    Json.Obj
+      [ ("logical_reads", Json.Int s.logical_reads);
+        ("physical_reads", Json.Int s.physical_reads);
+        ("page_writes", Json.Int s.page_writes);
+        ("evictions", Json.Int s.evictions);
+        ("allocations", Json.Int s.allocations);
+        ("hit_ratio", Json.Float (Storage.Stats.hit_ratio s)) ]
   in
-  let rates_json =
-    json_obj (List.map (fun (base, r) -> (base, json_float r)) (hit_rates t))
-  in
-  let histograms_json =
-    json_obj (List.map (fun (name, h) -> (name, histogram_json h)) (histograms t))
-  in
-  let fields =
-    [ ("counters", counters_json); ("hit_rates", rates_json); ("histograms", histograms_json) ]
-  in
-  let fields =
-    match io with
-    | None -> fields
-    | Some s ->
-        fields
-        @ [ ( "io",
-              json_obj
-                [ ("logical_reads", string_of_int s.Storage.Stats.logical_reads);
-                  ("physical_reads", string_of_int s.Storage.Stats.physical_reads);
-                  ("page_writes", string_of_int s.Storage.Stats.page_writes);
-                  ("evictions", string_of_int s.Storage.Stats.evictions);
-                  ("allocations", string_of_int s.Storage.Stats.allocations);
-                  ("hit_ratio", json_float (Storage.Stats.hit_ratio s)) ] ) ]
-  in
-  json_obj fields
+  Json.to_string
+    (Json.Obj
+       ([ ("counters", Json.Obj (List.map (fun (name, v) -> (name, Json.Int v)) (counters t)));
+          ("hit_rates", Json.Obj (List.map (fun (base, r) -> (base, Json.Float r)) (hit_rates t)));
+          ( "histograms",
+            Json.Obj (List.map (fun (name, h) -> (name, histogram_json h)) (histograms t)) ) ]
+       @ match io with None -> [] | Some s -> [ ("io", io_json s) ]))
 
 (* ---- OpenMetrics text exposition ----
 
-   Hand-rolled like the JSON: one "# TYPE" line per family, counter
-   samples suffixed "_total", histograms as cumulative "le" buckets
-   with "_sum"/"_count", "# EOF" terminator.  Metric names we mint are
+   One "# TYPE" line per family, counter samples suffixed "_total",
+   histograms as cumulative "le" buckets with "_sum"/"_count", "# EOF"
+   terminator.  Metric names we mint are
    already identifier-shaped; [om_name] is a belt for names arriving
    from the registry. *)
 

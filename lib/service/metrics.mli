@@ -46,8 +46,8 @@ val render_text : ?io:Storage.Stats.t -> t -> string
 val render_json : ?io:Storage.Stats.t -> t -> string
 (** The same snapshot as a single JSON object:
     [{"counters": {...}, "histograms": {name: {count, mean_ms, min_ms,
-    max_ms, p50_ms, p95_ms, p99_ms}}, "io": {...}}].  Hand-rolled
-    rendering — no JSON library dependency. *)
+    max_ms, p50_ms, p95_ms, p99_ms}}, "io": {...}}], rendered by
+    {!Obs.Json}. *)
 
 val to_openmetrics :
   ?io:Storage.Stats.t ->

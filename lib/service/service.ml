@@ -19,19 +19,20 @@ type result_entry = { token : int; fp : Vamana.Footprint.t; cached : Engine.resu
 
 type cache = [ `Hit | `Miss | `Stale | `Bypass ]
 
-type slow_query = {
-  sq_query : string;
-  sq_total_time : float;  (** end-to-end seconds of the offending run *)
-  sq_plan_cache : cache;
-  sq_result_cache : cache;
-  sq_results : int;
-  sq_profile : Vamana.Profile.report option;
-  sq_at : float;  (** [Unix.gettimeofday] at detection *)
-  sq_qid : int;
-  sq_io : Storage.Stats.t;
-  sq_wal_bytes : int;
-  sq_fsyncs : int;
-  sq_drift : float;  (** the plan's EWMA drift score at detection *)
+type record = {
+  r_qid : int;
+  r_source : string;
+  r_epoch : int;
+  r_at : float;
+  r_error : string option;
+  r_plan_cache : cache;
+  r_result_cache : cache;
+  r_total_time : float;
+  r_results : int;
+  r_attribution : Engine.attribution;
+  r_sampled : bool;
+  r_drift : float;
+  r_profile : Vamana.Profile.report option;
 }
 
 type invalidation = [ `Epoch | `Footprint ]
@@ -44,9 +45,7 @@ type t = {
   plans : (plan_key, Engine.prepared) Lru.t;
   results : (plan_key * string, result_entry) Lru.t option;
   mutable slow_threshold : float;  (* seconds; [infinity] disables *)
-  slow_profile : bool;
-  slow_log : slow_query Queue.t;  (* bounded ring, oldest dropped *)
-  slow_log_capacity : int;
+  slow_log : record Queue.t;  (* bounded ring, oldest dropped *)
   flight : Storage.Flight.t option;
   health : Health.t;
 }
@@ -59,16 +58,16 @@ let counter_names =
     "result_cache_hits"; "result_cache_misses"; "result_cache_stale";
     "result_cache_evictions"; "profiled_queries"; "optimizer_iterations";
     "optimizer_rules_accepted"; "optimizer_rules_rejected"; "optimizer_rules_considered";
-    "slow_queries"; "sampled_executions"; "adaptive_replans"; "plan_drift_events";
-    "slow_profile_reused"; "slow_profile_rerun"; "result_cache_spared";
+    "optimizer_rules_property_rejected"; "slow_queries"; "sampled_executions";
+    "adaptive_replans"; "plan_drift_events"; "result_cache_spared";
     "cache_invalidations_footprint"; "cache_invalidations_epoch"; "cache_invalidations_top";
     "drift_checks_skipped" ]
 
 let default_slow_threshold = 0.1
+let slow_log_capacity = 128
 
 let create ?(plan_cache_capacity = 128) ?(result_cache_capacity = 512) ?(optimize = true)
-    ?(invalidation = `Footprint) ?(slow_threshold = default_slow_threshold)
-    ?(slow_profile = true) ?(slow_log_capacity = 128) ?flight
+    ?(invalidation = `Footprint) ?(slow_threshold = default_slow_threshold) ?flight
     ?(sample_every = Health.default_sample_every)
     ?(drift_threshold = Health.default_drift_threshold) store =
   let metrics = Metrics.create () in
@@ -83,9 +82,7 @@ let create ?(plan_cache_capacity = 128) ?(result_cache_capacity = 512) ?(optimiz
       (if result_cache_capacity = 0 then None
        else Some (Lru.create ~capacity:result_cache_capacity));
     slow_threshold;
-    slow_profile;
     slow_log = Queue.create ();
-    slow_log_capacity = max 1 slow_log_capacity;
     flight;
     health = Health.create ~sample_every ~drift_threshold ();
   }
@@ -96,7 +93,7 @@ let metrics t = t.metrics
 let health t = t.health
 let slow_threshold t = t.slow_threshold
 let set_slow_threshold t s = t.slow_threshold <- s
-let slow_queries t = List.rev (Queue.fold (fun acc sq -> sq :: acc) [] t.slow_log)
+let slow_queries t = List.of_seq (Queue.to_seq t.slow_log)
 
 type outcome = {
   result : Engine.result;
@@ -139,11 +136,6 @@ let normalize src =
   go 0 None false;
   Buffer.contents buf
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
 let plan_key t ~scope src =
   {
     src = normalize src;
@@ -175,11 +167,7 @@ let cache_token t ~scope =
 
 (* whole-plan estimate under current synopsis statistics vs the plan's
    compile-time costing: a ratio far from 1 means the statistics moved
-   under the cached plan even before sampled actuals catch it.  The
-   sentinel 256 (8 doublings) stands in for an infinite ratio (an
-   estimate of 0 against a nonzero count, or vice versa). *)
-let clamp_q q = if Float.is_finite q then q else 256.0
-
+   under the cached plan even before sampled actuals catch it *)
 let estimate_drift t (p : Engine.prepared) =
   match (p.Engine.outcomes, p.Engine.executed_plans) with
   | Some (o :: _), plan :: _ ->
@@ -189,7 +177,7 @@ let estimate_drift t (p : Engine.prepared) =
           ~stats:(Vamana.Cost.synopsis_statistics t.store)
           t.store ~scope:p.Engine.prep_scope plan
       in
-      clamp_q (Vamana.Profile.q_error ~est:old_total ~act:(Vamana.Cost.total_output now plan))
+      Health.clamp_q (Vamana.Profile.q_error ~est:old_total ~act:(Vamana.Cost.total_output now plan))
   | _ -> 1.0
 
 (* Footprint drift-skip: the estimate ratio only moves when the
@@ -271,7 +259,7 @@ let prepared t ~scope key src =
           Ok (p, `Miss))
 
 let execute t ~profile ~scope ~context key p =
-  let result, _ = time (fun () -> Engine.execute_prepared ~profile t.store ~context p) in
+  let result = Engine.execute_prepared ~profile t.store ~context p in
   Metrics.observe t.metrics "execute" result.Engine.execute_time;
   Metrics.inc ~by:(List.length result.Engine.keys) t.metrics "result_keys";
   if result.Engine.profile <> None then Metrics.inc t.metrics "profiled_queries";
@@ -291,64 +279,60 @@ let cache_tag = function
   | `Stale -> "stale"
   | `Bypass -> "bypass"
 
-(* always-on slow-query log: record the query, its cache outcomes, and —
-   when the offending run carried no instrumentation — re-execute the
-   cached plan with profiling so the entry has an operator tree to read.
-   A run the health sampler (or an explicit profile request) already
-   instrumented is reused as-is: the plan never executes twice. *)
-let note_slow t ~context src (o : outcome) =
-  if o.total_time >= t.slow_threshold then begin
+(* the one set of attributes every per-query event carries (the qid
+   rides in the emission context) *)
+let record_attrs r =
+  let a = r.r_attribution in
+  [ ("query", Obs.Str r.r_source);
+    ("epoch", Obs.Int r.r_epoch);
+    ("total_ms", Obs.Float (r.r_total_time *. 1000.));
+    ("plan_cache", Obs.Str (cache_tag r.r_plan_cache));
+    ("result_cache", Obs.Str (cache_tag r.r_result_cache));
+    ("results", Obs.Int r.r_results);
+    ("pages_read", Obs.Int a.Engine.attr_io.Storage.Stats.logical_reads);
+    ("wal_bytes", Obs.Int a.Engine.attr_wal_bytes);
+    ("fsyncs", Obs.Int a.Engine.attr_fsyncs);
+    ("sampled", Obs.Bool r.r_sampled);
+    ("profiled", Obs.Bool (r.r_profile <> None));
+    ("drift", Obs.Float r.r_drift) ]
+  @ match r.r_error with Some msg -> [ ("error", Obs.Str msg) ] | None -> []
+
+let flight_end r =
+  let a = r.r_attribution in
+  { Storage.Flight.qid = r.r_qid;
+    source = r.r_source;
+    ok = r.r_error = None;
+    cache = (if r.r_error = None then cache_tag r.r_result_cache else "error");
+    latency_us = int_of_float (r.r_total_time *. 1e6);
+    pages_read = a.Engine.attr_io.Storage.Stats.logical_reads;
+    physical_reads = a.Engine.attr_io.Storage.Stats.physical_reads;
+    wal_bytes = a.Engine.attr_wal_bytes;
+    fsyncs = a.Engine.attr_fsyncs;
+    results = r.r_results;
+    epoch = r.r_epoch;
+    at_ms = int_of_float (r.r_at *. 1000.);
+    sampled = r.r_sampled;
+    drift = r.r_drift }
+
+(* publish one query's record: flight End frame, slow-query log, bus
+   events.  A slow run that carried no operator tree elects its plan's
+   next execution for profiling, so the caller pays for one run only. *)
+let publish t hr r =
+  Option.iter (fun fr -> Storage.Flight.record_end fr (flight_end r)) t.flight;
+  let slow = r.r_error = None && r.r_total_time >= t.slow_threshold in
+  if slow then begin
     Metrics.inc t.metrics "slow_queries";
-    let scope = Engine.scope_of_context context in
-    let key = plan_key t ~scope src in
-    let profile =
-      match o.result.Engine.profile with
-      | Some _ as p ->
-          Metrics.inc t.metrics "slow_profile_reused";
-          p
-      | None ->
-          if not t.slow_profile then None
-          else (
-            match Lru.find t.plans key with
-            | Some p ->
-                Metrics.inc t.metrics "slow_profile_rerun";
-                (Engine.execute_prepared ~profile:true t.store ~context p).Engine.profile
-            | None -> None)
-    in
-    let drift =
-      match Health.find t.health (health_key key) with
-      | Some r -> r.Health.hr_drift
-      | None -> 0.0
-    in
-    let a = o.attribution in
-    let entry =
-      { sq_query = src;
-        sq_total_time = o.total_time;
-        sq_plan_cache = o.plan_cache;
-        sq_result_cache = o.result_cache;
-        sq_results = List.length o.result.Engine.keys;
-        sq_profile = profile;
-        sq_at = Unix.gettimeofday ();
-        sq_qid = a.Engine.attr_qid;
-        sq_io = a.Engine.attr_io;
-        sq_wal_bytes = a.Engine.attr_wal_bytes;
-        sq_fsyncs = a.Engine.attr_fsyncs;
-        sq_drift = drift }
-    in
-    if Queue.length t.slow_log >= t.slow_log_capacity then ignore (Queue.pop t.slow_log);
-    Queue.push entry t.slow_log;
-    if Obs.active () then
-      Obs.emit ~severity:Obs.Warn ~category:"service" "slow_query"
-        [ ("query", Obs.Str src);
-          ("total_ms", Obs.Float (o.total_time *. 1000.));
-          ("plan_cache", Obs.Str (cache_tag o.plan_cache));
-          ("result_cache", Obs.Str (cache_tag o.result_cache));
-          ("results", Obs.Int entry.sq_results);
-          ("pages_read", Obs.Int a.Engine.attr_io.Storage.Stats.logical_reads);
-          ("wal_bytes", Obs.Int a.Engine.attr_wal_bytes);
-          ("fsyncs", Obs.Int a.Engine.attr_fsyncs);
-          ("profiled", Obs.Bool (profile <> None));
-          ("drift", Obs.Float entry.sq_drift) ]
+    if Queue.length t.slow_log >= slow_log_capacity then ignore (Queue.pop t.slow_log);
+    Queue.push r t.slow_log;
+    if r.r_profile = None then Option.iter Health.sample_next hr
+  end;
+  if Obs.active () then begin
+    let attrs = record_attrs r in
+    match r.r_error with
+    | Some _ -> Obs.emit ~severity:Obs.Error ~category:"service" "query_error" attrs
+    | None ->
+        if slow then Obs.emit ~severity:Obs.Warn ~category:"service" "slow_query" attrs;
+        Obs.emit ~category:"service" "query" attrs
   end
 
 let query ?(profile = false) t ~context src =
@@ -362,10 +346,10 @@ let query ?(profile = false) t ~context src =
   (match t.flight with
   | Some fr -> Storage.Flight.record_begin fr ~qid ~epoch:(Store.epoch t.store) ~source:src
   | None -> ());
-  let sampled_run = ref false in
-  let drift_now = ref 0.0 in
-  let outcome, total_time =
-    time (fun () ->
+  (* [run] is the health record and sampler decision of a real
+     execution; [None] for result-cache hits and errors *)
+  let (served, plan_cache, result_cache, run), total_time =
+    Obs.time (fun () ->
         Metrics.inc t.metrics "queries";
         let scope = Engine.scope_of_context context in
         let key = plan_key t ~scope src in
@@ -442,9 +426,7 @@ let query ?(profile = false) t ~context src =
         match cached_result with
         | `Cached result ->
             Metrics.inc t.metrics "result_cache_hits";
-            Ok
-              { result; plan_cache = `Hit; result_cache = `Hit; total_time = 0.0;
-                attribution = result.Engine.attribution }
+            (Ok result, `Hit, `Hit, None)
         | (`Bypass | `Stale | `Miss) as status ->
             if status <> `Bypass then Metrics.inc t.metrics "result_cache_misses";
             let result_cache = (status :> cache) in
@@ -457,10 +439,10 @@ let query ?(profile = false) t ~context src =
               Lru.remove t.plans key;
               Metrics.inc t.metrics "adaptive_replans"
             end;
-            (match prepared t ~scope key src with
+            match prepared t ~scope key src with
             | Error msg ->
                 Metrics.inc t.metrics "errors";
-                Error msg
+                (Error msg, (if replanning then `Stale else `Miss), result_cache, None)
             | Ok (p, plan_cache) ->
                 let plan_cache = if replanning then `Stale else plan_cache in
                 if replanning then Health.note_replan t.health hr ~epoch:(Store.epoch t.store);
@@ -468,7 +450,6 @@ let query ?(profile = false) t ~context src =
                    plan runs instrumented and feeds the drift detector *)
                 let sampled = Health.note_execution t.health hr in
                 if sampled then Metrics.inc t.metrics "sampled_executions";
-                sampled_run := sampled;
                 let result = execute t ~profile:(profile || sampled) ~scope ~context key p in
                 (match result.Engine.profile with
                 | Some rep ->
@@ -480,62 +461,35 @@ let query ?(profile = false) t ~context src =
                         ~estimate_q:(estimate_drift_for t hr p) rep
                     then Metrics.inc t.metrics "plan_drift_events"
                 | None -> ());
-                drift_now := hr.Health.hr_drift;
-                Ok
-                  { result; plan_cache; result_cache; total_time = 0.0;
-                    attribution = result.Engine.attribution }))
+                (Ok result, plan_cache, result_cache, Some (hr, sampled)))
   in
   Metrics.observe t.metrics "query" total_time;
   (* service-window attribution: covers prepare (on plan-cache misses)
      and execute, so a single query's counters sum to the Stats globals *)
   let attr_io = Storage.Stats.diff (Store.io_stats t.store) io_before in
-  let attr_wal_bytes, attr_fsyncs =
-    match (disk_before, Store.disk_io t.store) with
-    | Some before, Some live ->
-        let d = Storage.Disk.diff_io live before in
-        (d.Storage.Disk.wal_bytes_written, d.Storage.Disk.fsyncs)
-    | _ -> (0, 0)
+  let attr_wal_bytes, attr_fsyncs = Engine.disk_window t.store disk_before in
+  let attribution = { Engine.attr_qid = qid; attr_io; attr_wal_bytes; attr_fsyncs } in
+  let results, profile =
+    match (served, run) with
+    | Ok result, Some _ -> (List.length result.Engine.keys, result.Engine.profile)
+    | Ok result, None -> (List.length result.Engine.keys, None)
+    | Error _, _ -> (0, None)
   in
-  let attribution =
-    { Engine.attr_qid = qid; attr_io; attr_wal_bytes; attr_fsyncs }
-  in
-  let outcome = Result.map (fun o -> { o with total_time; attribution }) outcome in
-  (match t.flight with
-  | Some fr ->
-      let ok, cache, results =
-        match outcome with
-        | Ok o -> (true, cache_tag o.result_cache, List.length o.result.Engine.keys)
-        | Error _ -> (false, "error", 0)
-      in
-      Storage.Flight.record_end fr
-        { Storage.Flight.qid; source = src; ok; cache;
-          latency_us = int_of_float (total_time *. 1e6);
-          pages_read = attr_io.Storage.Stats.logical_reads;
-          physical_reads = attr_io.Storage.Stats.physical_reads;
-          wal_bytes = attr_wal_bytes; fsyncs = attr_fsyncs; results;
-          epoch = Store.epoch t.store;
-          at_ms = int_of_float (Unix.gettimeofday () *. 1000.);
-          sampled = !sampled_run; drift = !drift_now }
-  | None -> ());
-  (match outcome with
-  | Ok o ->
-      note_slow t ~context src o;
-      if Obs.active () then
-        Obs.emit ~category:"service" "query"
-          [ ("query", Obs.Str src);
-            ("total_ms", Obs.Float (total_time *. 1000.));
-            ("plan_cache", Obs.Str (cache_tag o.plan_cache));
-            ("result_cache", Obs.Str (cache_tag o.result_cache));
-            ("results", Obs.Int (List.length o.result.Engine.keys));
-            ("pages_read", Obs.Int attr_io.Storage.Stats.logical_reads);
-            ("wal_bytes", Obs.Int attr_wal_bytes);
-            ("fsyncs", Obs.Int attr_fsyncs);
-            ("sampled", Obs.Bool !sampled_run) ]
-  | Error msg ->
-      if Obs.active () then
-        Obs.emit ~severity:Obs.Error ~category:"service" "query_error"
-          [ ("query", Obs.Str src); ("error", Obs.Str msg) ]);
-  outcome
+  publish t (Option.map fst run)
+    { r_qid = qid;
+      r_source = src;
+      r_epoch = Store.epoch t.store;
+      r_at = Unix.gettimeofday ();
+      r_error = (match served with Ok _ -> None | Error msg -> Some msg);
+      r_plan_cache = plan_cache;
+      r_result_cache = result_cache;
+      r_total_time = total_time;
+      r_results = results;
+      r_attribution = attribution;
+      r_sampled = (match run with Some (_, sampled) -> sampled | None -> false);
+      r_drift = (match run with Some (hr, _) -> hr.Health.hr_drift | None -> 0.0);
+      r_profile = profile };
+  Result.map (fun result -> { result; plan_cache; result_cache; total_time; attribution }) served
 
 let query_doc ?profile t doc src = query ?profile t ~context:doc.Store.doc_key src
 

@@ -59,8 +59,6 @@ val create :
   ?optimize:bool ->
   ?invalidation:invalidation ->
   ?slow_threshold:float ->
-  ?slow_profile:bool ->
-  ?slow_log_capacity:int ->
   ?flight:Storage.Flight.t ->
   ?sample_every:int ->
   ?drift_threshold:float ->
@@ -71,16 +69,17 @@ val create :
     [optimize] (default [true]) selects VQP-OPT vs VQP plans for every
     query the service prepares.  [slow_threshold] (seconds, default
     0.1; [infinity] disables) feeds the always-on slow-query log, a
-    bounded ring of the last [slow_log_capacity] (default 128) slow
-    queries; with [slow_profile] (default [true]) a slow query whose run
-    carried no instrumentation is re-executed once with profiling so its
-    log entry has an operator tree attached.  [invalidation] (default
+    bounded ring of the {!record}s of the last 128 slow queries.  A slow
+    run that carried no instrumentation elects its plan's next
+    execution for profiling ({!Health.sample_next}), so a plan that
+    stays slow logs an operator tree one run later.  [invalidation] (default
     [`Footprint]) selects the result-cache invalidation protocol; the
     [cache_invalidations_footprint]/[epoch]/[top] counters attribute
     every eviction to its reason and [result_cache_spared] counts the
     entries an interference check saved.  [flight] attaches a
-    {!Storage.Flight} recorder: every {!query} writes a begin/end record
-    pair (the caller keeps ownership and closes it).
+    {!Storage.Flight} recorder: every {!query} writes a Begin frame
+    before it runs and an End frame converted from its {!record} (the
+    caller keeps ownership and closes it).
 
     [sample_every] (default {!Health.default_sample_every}) turns on the
     always-on plan-health sampler: every Nth real execution of each
@@ -137,37 +136,46 @@ val normalize : string -> string
     single-/double-quoted literals, whitespace is dropped except for a
     single separating space between two name/number characters. *)
 
-(** {1 Slow-query log} *)
+(** {1 Per-query records} *)
 
-type slow_query = {
-  sq_query : string;  (** query text as submitted *)
-  sq_total_time : float;  (** end-to-end seconds of the offending run *)
-  sq_plan_cache : cache;
-  sq_result_cache : cache;
-  sq_results : int;
-  sq_profile : Vamana.Profile.report option;
-      (** operator tree: the run's own report when it was profiled,
-          otherwise a one-shot instrumented re-execution (see
-          {!create}); [None] when [slow_profile] is off or the plan had
-          already been evicted *)
-  sq_at : float;  (** [Unix.gettimeofday] at detection *)
-  sq_qid : int;  (** query id (matches the run's bus events and flight records) *)
-  sq_io : Storage.Stats.t;  (** attributed buffer-pool I/O of the offending run *)
-  sq_wal_bytes : int;
-  sq_fsyncs : int;
-  sq_drift : float;
-      (** the plan's EWMA cost-drift score at detection ([0.] when the
-          plan has no health record yet) — a slow query that is {e also}
-          drifting is the replan candidate to look at first *)
+(** What one {!query} call did, built once when the call finishes.
+    Every observability surface reads this value: the slow-query log
+    keeps records, the flight recorder's End frame is converted from
+    it, and the [service/query], [service/slow_query] and
+    [service/query_error] bus events carry one attribute set built
+    from it (query, epoch, total_ms, plan_cache, result_cache, results,
+    pages_read, wal_bytes, fsyncs, sampled, profiled, drift, plus
+    [error] on a failed call; the qid comes from the emission
+    context). *)
+type record = {
+  r_qid : int;  (** query id (also the [qid] of every bus event the call emitted) *)
+  r_source : string;  (** query text as submitted *)
+  r_epoch : int;  (** store epoch when the call finished *)
+  r_at : float;  (** wall-clock Unix seconds when the call finished *)
+  r_error : string option;  (** [None] when the query was answered *)
+  r_plan_cache : cache;
+  r_result_cache : cache;
+  r_total_time : float;  (** end-to-end seconds inside the service *)
+  r_results : int;  (** result count ([0] on error) *)
+  r_attribution : Vamana.Engine.attribution;
+  r_sampled : bool;  (** the health sampler profiled this execution *)
+  r_drift : float;
+      (** the plan's EWMA cost-drift score after this call; [0.] when
+          nothing executed (result-cache hit, error) — a slow query that
+          is {e also} drifting is the replan candidate to look at first *)
+  r_profile : Vamana.Profile.report option;
+      (** the operator tree of this call's own execution, when it was
+          profiled (sampled or requested); [None] on result-cache hits *)
 }
 
 val slow_threshold : t -> float
 val set_slow_threshold : t -> float -> unit
 
-val slow_queries : t -> slow_query list
-(** Contents of the ring, oldest first (at most [slow_log_capacity]);
-    each detection also bumps the [slow_queries] counter and emits a
-    [service/slow_query] event on the {!Obs} bus. *)
+val slow_queries : t -> record list
+(** Records of answered calls with [r_total_time >= slow_threshold],
+    oldest first, at most the last 128; each also bumps the
+    [slow_queries] counter and emits a [service/slow_query] event on the
+    {!Obs} bus. *)
 
 val plan_cache_length : t -> int
 val result_cache_length : t -> int

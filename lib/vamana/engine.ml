@@ -53,11 +53,6 @@ let disk_window store before =
       (d.Storage.Disk.wal_bytes_written, d.Storage.Disk.fsyncs)
   | _ -> (0, 0)
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
 let scope_of_context context = if Flex.depth context = 0 then None else Some (Flex.prefix context 1)
 
 (* a top-level union evaluates as independent plans whose result sets
@@ -106,7 +101,7 @@ let iteration_spans (o : Optimizer.outcome) =
 
 let prepare ?(optimize = true) store ~scope src =
   let parsed, parse_time =
-    time (fun () ->
+    Obs.time (fun () ->
         match Xpath.Parser.parse_spanned src with
         | parsed -> Ok parsed
         | exception (Xpath.Parser.Error _ as exn) ->
@@ -119,12 +114,12 @@ let prepare ?(optimize = true) store ~scope src =
          plan construction, so a schema-level emptiness proof suppresses
          the optimizer search and (context permitting) execution *)
       let prep_report, check_time =
-        time (fun () ->
+        Obs.time (fun () ->
             let schema = Mass.Synopsis.schema (Mass.Synopsis.for_store store) ~scope in
             Xpath.Typecheck.check ~schema ~spans ast)
       in
       let compiled, compile_only_time =
-        time (fun () ->
+        Obs.time (fun () ->
             match ast with
             | Xpath.Ast.Path p -> Ok [ Compile.compile_path p ]
             | ast -> (
@@ -140,7 +135,7 @@ let prepare ?(optimize = true) store ~scope src =
             if optimize && not prep_report.Xpath.Typecheck.rep_empty then
               let stats = Cost.synopsis_statistics store in
               let os, t =
-                time (fun () ->
+                Obs.time (fun () ->
                     List.map (Optimizer.optimize ~stats store ~scope) default_plans)
               in
               (Some os, t)
@@ -167,18 +162,6 @@ let prepare ?(optimize = true) store ~scope src =
               prep_compile_time = parse_time +. check_time +. compile_only_time;
               prep_optimize_time = optimize_time; prep_spans })
 
-(* telemetry: primitive span metadata rides along as event attributes *)
-let attrs_of_meta meta =
-  List.filter_map
-    (fun (k, v) ->
-      match (v : Profile.Json.t) with
-      | Profile.Json.Int i -> Some (k, Obs.Int i)
-      | Profile.Json.Float f -> Some (k, Obs.Float f)
-      | Profile.Json.Str s -> Some (k, Obs.Str s)
-      | Profile.Json.Bool b -> Some (k, Obs.Bool b)
-      | Profile.Json.Null | Profile.Json.Arr _ | Profile.Json.Obj _ -> None)
-    meta
-
 let emit_query_events store ~context p spans by_index_before =
   let doc_name =
     match Store.document_of_key store context with
@@ -190,7 +173,7 @@ let emit_query_events store ~context p spans by_index_before =
       Obs.emit ~category:"query" s.Profile.name
         (("query", Obs.Str p.source)
          :: ("dur_ms", Obs.Float (s.Profile.dur *. 1000.))
-         :: attrs_of_meta s.Profile.meta))
+         :: s.Profile.meta))
     spans;
   List.iter2
     (fun (name, before) (name', live) ->
@@ -249,7 +232,7 @@ let execute_prepared ?(profile = false) store ~context p =
        | None -> Flex.depth context = 0)
   in
   let keys, execute_time =
-    time (fun () ->
+    Obs.time (fun () ->
         if schema_skip then begin
           if Obs.active () then
             Obs.emit ~category:"engine" "static_empty_skip"

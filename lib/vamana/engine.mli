@@ -108,6 +108,11 @@ val scope_of_context : Flex.t -> Flex.t option
 (** Statistics scope of an execution context: the context's document root
     component, or [None] for the store root. *)
 
+val disk_window : Mass.Store.t -> Storage.Disk.io option -> int * int
+(** [disk_window store before] is the [(wal_bytes, fsyncs)] the store's
+    disk recorded since the [before] snapshot ({!Storage.Disk.copy_io}
+    of {!Mass.Store.disk_io}); [(0, 0)] for in-memory stores. *)
+
 val query :
   ?optimize:bool ->
   ?profile:bool ->

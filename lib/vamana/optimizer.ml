@@ -32,7 +32,7 @@ let optimize ?(rules = Rewrite.cost_rules) ?stats store ~scope plan =
   let rec loop plan iterations trace stats_acc =
     if iterations >= max_iterations then finish plan iterations trace stats_acc
     else begin
-      let t0 = Unix.gettimeofday () in
+      let t0 = Obs.clock () in
       let considered = ref 0 and rejected = ref 0 and property_rejected = ref 0 in
       let costed = Cost.estimate ?stats store ~scope plan in
       let current_cost = Cost.total_output costed plan in
@@ -116,7 +116,7 @@ let optimize ?(rules = Rewrite.cost_rules) ?stats store ~scope plan =
           None ordered
       in
       let stat accepted =
-        { duration = Unix.gettimeofday () -. t0;
+        { duration = Obs.clock () -. t0;
           considered = !considered;
           rejected = !rejected;
           property_rejected = !property_rejected;

@@ -1,259 +1,4 @@
-(* ---- JSON values ---- *)
-
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  let escape s =
-    let buf = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | '\b' -> Buffer.add_string buf "\\b"
-        | '\012' -> Buffer.add_string buf "\\f"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  (* shortest decimal form that re-parses to the same float *)
-  let float_repr f =
-    let s = Printf.sprintf "%.12g" f in
-    let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
-    (* a bare integer form would re-parse as Int; force a float marker *)
-    if String.exists (fun c -> c = '.' || c = 'e' || c = 'E' || c = 'n' || c = 'i') s then s
-    else s ^ ".0"
-
-  let rec write buf v =
-    match v with
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float f ->
-        Buffer.add_string buf (if Float.is_finite f then float_repr f else "null")
-    | Str s ->
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape s);
-        Buffer.add_char buf '"'
-    | Arr xs ->
-        Buffer.add_char buf '[';
-        List.iteri
-          (fun i x ->
-            if i > 0 then Buffer.add_string buf ", ";
-            write buf x)
-          xs;
-        Buffer.add_char buf ']'
-    | Obj fields ->
-        Buffer.add_char buf '{';
-        List.iteri
-          (fun i (k, x) ->
-            if i > 0 then Buffer.add_string buf ", ";
-            Buffer.add_char buf '"';
-            Buffer.add_string buf (escape k);
-            Buffer.add_string buf "\": ";
-            write buf x)
-          fields;
-        Buffer.add_char buf '}'
-
-  let to_string v =
-    let buf = Buffer.create 256 in
-    write buf v;
-    Buffer.contents buf
-
-  exception Parse_error of string
-
-  let of_string s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let expect c =
-      if !pos < n && s.[!pos] = c then advance ()
-      else fail (Printf.sprintf "expected '%c'" c)
-    in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-          advance ();
-          skip_ws ()
-      | _ -> ()
-    in
-    let literal word v =
-      if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-      then begin
-        pos := !pos + String.length word;
-        v
-      end
-      else fail ("expected " ^ word)
-    in
-    let add_utf8 buf code =
-      (* BMP code points only; lone surrogates are kept as-is *)
-      if code < 0x80 then Buffer.add_char buf (Char.chr code)
-      else if code < 0x800 then begin
-        Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-        Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-      end
-      else begin
-        Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-        Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-        Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-      end
-    in
-    let parse_string () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string";
-        let c = s.[!pos] in
-        advance ();
-        if c = '"' then Buffer.contents buf
-        else if c = '\\' then begin
-          (if !pos >= n then fail "unterminated escape");
-          let e = s.[!pos] in
-          advance ();
-          (match e with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'u' ->
-              if !pos + 4 > n then fail "truncated \\u escape";
-              let hex = String.sub s !pos 4 in
-              pos := !pos + 4;
-              let code =
-                try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
-              in
-              add_utf8 buf code
-          | _ -> fail "bad escape");
-          go ()
-        end
-        else begin
-          Buffer.add_char buf c;
-          go ()
-        end
-      in
-      go ()
-    in
-    let parse_number () =
-      let start = !pos in
-      let is_num_char c =
-        (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-      in
-      while !pos < n && is_num_char s.[!pos] do
-        advance ()
-      done;
-      let text = String.sub s start (!pos - start) in
-      if text = "" then fail "expected a value";
-      match int_of_string_opt text with
-      | Some i -> Int i
-      | None -> (
-          match float_of_string_opt text with
-          | Some f -> Float f
-          | None -> fail "bad number")
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '"' -> Str (parse_string ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some '[' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some ']' then begin
-            advance ();
-            Arr []
-          end
-          else begin
-            let rec items acc =
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  items (v :: acc)
-              | Some ']' ->
-                  advance ();
-                  List.rev (v :: acc)
-              | _ -> fail "expected ',' or ']'"
-            in
-            Arr (items [])
-          end
-      | Some '{' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some '}' then begin
-            advance ();
-            Obj []
-          end
-          else begin
-            let field () =
-              skip_ws ();
-              let k = parse_string () in
-              skip_ws ();
-              expect ':';
-              (k, parse_value ())
-            in
-            let rec fields acc =
-              let f = field () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  fields (f :: acc)
-              | Some '}' ->
-                  advance ();
-                  List.rev (f :: acc)
-              | _ -> fail "expected ',' or '}'"
-            in
-            Obj (fields [])
-          end
-      | Some _ -> parse_number ()
-    in
-    match
-      let v = parse_value () in
-      skip_ws ();
-      if !pos <> n then fail "trailing garbage";
-      v
-    with
-    | v -> Ok v
-    | exception Parse_error msg -> Error msg
-
-  let rec equal a b =
-    match (a, b) with
-    | Null, Null -> true
-    | Bool x, Bool y -> x = y
-    | Int x, Int y -> x = y
-    | Float x, Float y -> x = y || (Float.is_nan x && Float.is_nan y)
-    | Str x, Str y -> String.equal x y
-    | Arr xs, Arr ys -> List.equal equal xs ys
-    | Obj xs, Obj ys ->
-        List.equal (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && equal v1 v2) xs ys
-    | (Null | Bool _ | Int _ | Float _ | Str _ | Arr _ | Obj _), _ -> false
-
-  let member key = function
-    | Obj fields -> List.assoc_opt key fields
-    | _ -> None
-end
+module Json = Obs.Json
 
 (* ---- collection ---- *)
 
@@ -311,11 +56,11 @@ let frame ctx s f =
   ctx.child_time <- 0.0;
   ctx.child_reads <- 0;
   ctx.child_phys <- 0;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.clock () in
   let r0, p0 = ctx.read_io () in
   match f () with
   | result ->
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt = Obs.clock () -. t0 in
       let r1, p1 = ctx.read_io () in
       let dr = r1 - r0 in
       let dp = p1 - p0 in

@@ -13,32 +13,9 @@
     with per-operator q-error (max(est/act, act/est)), renderable as text
     or JSON. *)
 
-(** Minimal self-contained JSON values with exact round-trip
-    serialization (floats re-parse to the same value), used for the
-    profile/trace output and the benchmark drift files — no external JSON
-    dependency. *)
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float  (** non-finite values serialize as [null] *)
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  val to_string : t -> string
-  (** Compact rendering; object fields keep their given order. *)
-
-  val of_string : string -> (t, string) result
-  (** Parse a complete JSON document (the full language: escapes,
-      [\uXXXX] decoded to UTF-8, exponents). *)
-
-  val equal : t -> t -> bool
-
-  val member : string -> t -> t option
-  (** First field of that name, for [Obj]; [None] otherwise. *)
-end
+(** The shared JSON value type ({!Obs.Json}), re-exported under its
+    historical name. *)
+module Json = Obs.Json
 
 (** {1 Collection} *)
 

@@ -1022,7 +1022,7 @@ let gen_query rng (b : bounds) =
 
 let prove ?(subject = real_subject) ?(random = 0) ?(random_bounds = ci_random_bounds)
     ?(seed = ci_seed) ?(max_counterexamples = 5) bounds =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.clock () in
   let docs = enum_documents bounds in
   let queries = enum_queries bounds in
   let cqs = List.map (compile_case subject) queries in
@@ -1122,7 +1122,7 @@ let prove ?(subject = real_subject) ?(random = 0) ?(random_bounds = ci_random_bo
     rp_updates = !n_updates;
     rp_triples = !n_triples;
     rp_counterexamples = List.rev !cxs;
-    rp_wall = Unix.gettimeofday () -. t0 }
+    rp_wall = Obs.clock () -. t0 }
 
 let shrink_pair ?(subject = real_subject) ~doc ~query () =
   let spec = Xml.Tree.element_spec (Xml.Parser.parse doc) in

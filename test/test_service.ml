@@ -374,14 +374,83 @@ let test_slow_log_reuses_sampled_profile () =
   in
   ignore (keys_of service doc "//person");
   ignore (keys_of service doc "//person");
-  Alcotest.(check int) "no profiling re-execution" 0 (counter service "slow_profile_rerun");
-  Alcotest.(check int) "sampler's report reused" 2 (counter service "slow_profile_reused");
   let slow = Service.slow_queries service in
   Alcotest.(check int) "both runs logged" 2 (List.length slow);
   List.iter
-    (fun (sq : Service.slow_query) ->
-      Alcotest.(check bool) "operator tree attached" true (sq.Service.sq_profile <> None))
+    (fun (r : Service.record) ->
+      Alcotest.(check bool) "operator tree attached" true (r.Service.r_profile <> None))
     slow
+
+let test_slow_run_arms_next_sample () =
+  (* a slow run that carried no profile is not executed a second time:
+     its plan's next execution is sampled instead *)
+  let store = Store.create () in
+  let doc = Store.load_string store ~name:"t.xml" base_doc in
+  let service =
+    Service.create ~result_cache_capacity:0 ~slow_threshold:0.0 ~sample_every:1000 store
+  in
+  ignore (keys_of service doc "//person");
+  Alcotest.(check int) "baseline sampled" 1 (counter service "sampled_executions");
+  let keys_before = counter service "result_keys" in
+  Store.reset_io_stats store;
+  ignore (keys_of service doc "//person");
+  Alcotest.(check int) "slow unsampled run executed once" (keys_before + 2)
+    (counter service "result_keys");
+  (match List.rev (Service.slow_queries service) with
+  | r :: _ ->
+      Alcotest.(check bool) "logged without an operator tree" true (r.Service.r_profile = None);
+      (* a hidden second run would read pages outside the attribution *)
+      Alcotest.(check int) "no page reads beyond the one run"
+        r.Service.r_attribution.Vamana.Engine.attr_io.Storage.Stats.logical_reads
+        (Store.io_stats store).Storage.Stats.logical_reads
+  | [] -> Alcotest.fail "slow run not logged");
+  Alcotest.(check int) "no sample yet" 1 (counter service "sampled_executions");
+  ignore (keys_of service doc "//person");
+  Alcotest.(check int) "next execution sampled" 2 (counter service "sampled_executions");
+  match List.rev (Service.slow_queries service) with
+  | r :: _ -> Alcotest.(check bool) "operator tree logged" true (r.Service.r_profile <> None)
+  | [] -> Alcotest.fail "slow run not logged"
+
+let test_counters_registered_up_front () =
+  (* every counter a workload can bump exists from creation on, so a
+     scrape never sees a family appear partway through a run *)
+  let store = Store.create () in
+  let doc = Store.load_string store ~name:"t.xml" base_doc in
+  let service =
+    Service.create ~plan_cache_capacity:1 ~result_cache_capacity:1 ~slow_threshold:0.0
+      ~sample_every:1 store
+  in
+  let names () = List.map fst (Metrics.counters (Service.metrics service)) in
+  let registered = names () in
+  let q = "//person/address" in
+  ignore (keys_of service doc "//name");
+  (* evicts //name from both caches *)
+  ignore (keys_of service doc q);
+  (match Service.query_doc service doc "//person[" with
+  | Ok _ -> Alcotest.fail "malformed query answered"
+  | Error _ -> ());
+  (* grow the person/address population 7x under the cached plan *)
+  let people =
+    match Vamana.Engine.query_doc store doc "/site/people" with
+    | Ok r -> List.hd r.Vamana.Engine.keys
+    | Error e -> Alcotest.fail e
+  in
+  for i = 1 to 12 do
+    let p = Store.insert_element store ~parent:people "person" [ ("id", string_of_int i) ] None in
+    ignore (Store.insert_element store ~parent:p "address" [] (Some "somewhere"))
+  done;
+  (* stale result, sampled run against stale estimates: drift *)
+  ignore (keys_of service doc q);
+  (* a profiled request executes, so the stale plan is re-prepared *)
+  (match Service.query_doc ~profile:true service doc q with
+  | Ok o -> Alcotest.(check bool) "replanned" true (o.Service.plan_cache = `Stale)
+  | Error e -> Alcotest.fail e);
+  Service.flush service;
+  List.iter
+    (fun name -> Alcotest.(check bool) (name ^ " bumped") true (counter service name > 0))
+    [ "errors"; "result_cache_stale"; "plan_cache_evictions"; "result_cache_evictions";
+      "plan_drift_events"; "adaptive_replans"; "slow_queries" ];
+  Alcotest.(check (list string)) "no counter appears after creation" registered (names ())
 
 let test_result_cache_per_context () =
   (* identical query text under two different documents must not share
@@ -545,6 +614,9 @@ let suite =
         test_openmetrics_invalidation_family;
       Alcotest.test_case "slow log reuses sampled profile" `Quick
         test_slow_log_reuses_sampled_profile;
+      Alcotest.test_case "slow run arms the next sample" `Quick test_slow_run_arms_next_sample;
+      Alcotest.test_case "counters registered up front" `Quick
+        test_counters_registered_up_front;
       Alcotest.test_case "flush" `Quick test_flush;
       Alcotest.test_case "store epoch monotone" `Quick test_epoch_monotone;
       Alcotest.test_case "metrics registry" `Quick test_metrics_registry;

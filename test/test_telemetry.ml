@@ -421,8 +421,10 @@ let test_flight_torn_tail () =
 
 (* On a single-query batch the attributed counters must equal the
    store's global deltas — the sum-consistency the slow log, EXPLAIN
-   ANALYZE and the flight recorder all rely on.  Runs on the file
-   backend so the WAL/fsync columns are exercised too. *)
+   ANALYZE and the flight recorder all rely on — and the three views of
+   the query (slow-log record, slow_query event, flight End frame) must
+   agree.  Runs on the file backend so the WAL/fsync columns are
+   exercised too. *)
 let test_attribution_sum_consistency () =
   with_bus @@ fun () ->
   with_dir @@ fun dir ->
@@ -434,9 +436,9 @@ let test_attribution_sum_consistency () =
   in
   let flight = Flight.open_dir ~dir () in
   let service =
-    Service.create ~result_cache_capacity:0 ~slow_threshold:0.0
-      ~slow_profile:false ~flight store
+    Service.create ~result_cache_capacity:0 ~slow_threshold:0.0 ~flight store
   in
+  Obs.attach_ring ();
   Store.reset_io_stats store;
   let disk0 = Storage.Disk.copy_io (Option.get (Store.disk_io store)) in
   let outcome =
@@ -460,32 +462,67 @@ let test_attribution_sum_consistency () =
   Alcotest.(check int) "fsyncs attributed" dd.Storage.Disk.fsyncs
     a.Vamana.Engine.attr_fsyncs;
   (* the slow log cites the same run *)
-  (match Service.slow_queries service with
-  | [ sq ] ->
-      Alcotest.(check int) "slow log carries the qid"
-        a.Vamana.Engine.attr_qid sq.Service.sq_qid;
-      Alcotest.(check int) "slow log reads match attribution"
-        a.Vamana.Engine.attr_io.Storage.Stats.logical_reads
-        sq.Service.sq_io.Storage.Stats.logical_reads;
-      Alcotest.(check int) "slow log wal bytes match"
-        a.Vamana.Engine.attr_wal_bytes sq.Service.sq_wal_bytes
-  | sqs -> Alcotest.failf "expected 1 slow query, got %d" (List.length sqs));
-  (* and so does the flight record *)
+  let r =
+    match Service.slow_queries service with
+    | [ r ] -> r
+    | rs -> Alcotest.failf "expected 1 slow query, got %d" (List.length rs)
+  in
+  Alcotest.(check int) "slow log carries the qid" a.Vamana.Engine.attr_qid r.Service.r_qid;
+  Alcotest.(check int) "slow log reads match attribution"
+    a.Vamana.Engine.attr_io.Storage.Stats.logical_reads
+    r.Service.r_attribution.Vamana.Engine.attr_io.Storage.Stats.logical_reads;
+  Alcotest.(check int) "slow log wal bytes match" a.Vamana.Engine.attr_wal_bytes
+    r.Service.r_attribution.Vamana.Engine.attr_wal_bytes;
+  (* the slow_query event, the flight End frame and the record agree *)
+  let ev =
+    match
+      List.filter
+        (fun (e : Obs.event) -> e.Obs.category = "service" && e.Obs.name = "slow_query")
+        (Obs.drain ())
+    with
+    | [ e ] -> e
+    | es -> Alcotest.failf "expected 1 slow_query event, got %d" (List.length es)
+  in
+  let attr k =
+    match List.assoc_opt k ev.Obs.attrs with
+    | Some v -> v
+    | None -> Alcotest.failf "slow_query event lacks %s" k
+  in
   Flight.close flight;
-  (match
-     List.filter_map
-       (function Flight.End e -> Some e | Flight.Begin _ -> None)
-       (Flight.read_dir ~dir)
-   with
-  | [ e ] ->
-      Alcotest.(check int) "flight record carries the qid"
-        a.Vamana.Engine.attr_qid e.Flight.qid;
-      Alcotest.(check int) "flight pages_read matches attribution"
-        a.Vamana.Engine.attr_io.Storage.Stats.logical_reads e.Flight.pages_read;
-      Alcotest.(check string) "flight keeps the query text" "//b"
-        e.Flight.source;
-      Alcotest.(check int) "flight result count" 3 e.Flight.results
-  | es -> Alcotest.failf "expected 1 flight end record, got %d" (List.length es));
+  let e =
+    match
+      List.filter_map
+        (function Flight.End e -> Some e | Flight.Begin _ -> None)
+        (Flight.read_dir ~dir)
+    with
+    | [ e ] -> e
+    | es -> Alcotest.failf "expected 1 flight end record, got %d" (List.length es)
+  in
+  let ra = r.Service.r_attribution in
+  List.iter
+    (fun (what, record, event, flight) ->
+      Alcotest.(check bool) (what ^ ": record = event") true (Json.equal record event);
+      Alcotest.(check bool) (what ^ ": record = flight") true (Json.equal record flight))
+    [ ("qid", Json.Int r.Service.r_qid, attr "qid", Json.Int e.Flight.qid);
+      ("source", Json.Str r.Service.r_source, attr "query", Json.Str e.Flight.source);
+      ("epoch", Json.Int r.Service.r_epoch, attr "epoch", Json.Int e.Flight.epoch);
+      ("results", Json.Int r.Service.r_results, attr "results", Json.Int e.Flight.results);
+      ( "pages read",
+        Json.Int ra.Vamana.Engine.attr_io.Storage.Stats.logical_reads,
+        attr "pages_read",
+        Json.Int e.Flight.pages_read );
+      ( "wal bytes",
+        Json.Int ra.Vamana.Engine.attr_wal_bytes,
+        attr "wal_bytes",
+        Json.Int e.Flight.wal_bytes );
+      ("fsyncs", Json.Int ra.Vamana.Engine.attr_fsyncs, attr "fsyncs", Json.Int e.Flight.fsyncs);
+      ("sampled", Json.Bool r.Service.r_sampled, attr "sampled", Json.Bool e.Flight.sampled) ];
+  Alcotest.(check bool) "drift: record = event" true
+    (Json.equal (Json.Float r.Service.r_drift) (attr "drift"));
+  (* the flight frame stores drift in micro-units *)
+  Alcotest.(check (float 1e-6)) "drift: record = flight" r.Service.r_drift e.Flight.drift;
+  Alcotest.(check string) "flight keeps the query text" "//b" e.Flight.source;
+  Alcotest.(check int) "flight result count" 3 e.Flight.results;
   Store.close store
 
 (* explain analyze surfaces the same attribution *)
