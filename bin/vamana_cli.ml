@@ -91,6 +91,12 @@ let handle_parse_errors f =
   | Sys_error msg ->
       Printf.eprintf "%s\n" msg;
       exit 1
+  | Store.Corrupt_snapshot msg ->
+      Printf.eprintf "corrupt snapshot %s\n" msg;
+      exit 1
+  | Storage.Disk.Corrupt msg ->
+      Printf.eprintf "corrupt store %s\n" msg;
+      exit 1
 
 let run_query file xmark_mb snapshot data_dir no_optimize verbose query =
   handle_parse_errors @@ fun () ->

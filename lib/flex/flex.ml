@@ -1,72 +1,68 @@
-type t = string array
-(* Invariant: every element satisfies [is_valid_component]. *)
+type t = string
+(* Invariant: [""] (the document) or valid components joined by [sep]. *)
 
+let sep = '\x01'
 let alphabet_base = 26
 let code c = Char.code c - Char.code 'a'
 let chr d = Char.chr (d + Char.code 'a')
 
 let is_valid_component s =
   let n = String.length s in
-  n > 0
-  && s.[n - 1] <> 'a'
-  &&
-  let ok = ref true in
-  String.iter (fun c -> if c < 'a' || c > 'z' then ok := false) s;
-  !ok
+  n > 0 && s.[n - 1] <> 'a' && String.for_all (fun c -> c >= 'a' && c <= 'z') s
 
 let check_component s =
-  if not (is_valid_component s) then
-    invalid_arg (Printf.sprintf "Flex: invalid component %S" s)
+  if not (is_valid_component s) then invalid_arg (Printf.sprintf "Flex: invalid component %S" s)
 
-let document : t = [||]
+let document : t = ""
 let of_components cs =
   List.iter check_component cs;
-  Array.of_list cs
+  String.concat "\x01" cs
 
-let components k = Array.to_list k
-let depth = Array.length
+let depth k =
+  if k = "" then 0 else String.fold_left (fun n c -> if c = sep then n + 1 else n) 1 k
 
 let child k c =
   check_component c;
-  Array.append k [| c |]
+  if k = "" then c else String.concat "\x01" [ k; c ]
 
-let parent k =
-  if Array.length k = 0 then None else Some (Array.sub k 0 (Array.length k - 1))
+(* start of the last component of a non-document key *)
+let last_start k = match String.rindex_opt k sep with Some i -> i + 1 | None -> 0
+let parent k = if k = "" then None else Some (String.sub k 0 (max 0 (last_start k - 1)))
 
 let last_component k =
-  if Array.length k = 0 then None else Some k.(Array.length k - 1)
+  if k = "" then None else Some (String.sub k (last_start k) (String.length k - last_start k))
 
 let prefix k d =
-  if d < 0 || d > Array.length k then invalid_arg "Flex.prefix: bad depth";
-  Array.sub k 0 d
-
-let compare a b =
-  let la = Array.length a and lb = Array.length b in
-  let rec go i =
-    if i >= la && i >= lb then 0
-    else if i >= la then -1
-    else if i >= lb then 1
-    else
-      let c = String.compare a.(i) b.(i) in
-      if c <> 0 then c else go (i + 1)
+  (* [i]: start of component [seen + 1] *)
+  let rec cut i seen =
+    if seen = d then String.sub k 0 (max 0 (i - 1))
+    else match String.index_from_opt k i sep with
+      | Some j -> cut (j + 1) (seen + 1)
+      | None when seen + 1 = d && k <> "" -> k
+      | None -> invalid_arg "Flex.prefix: bad depth"
   in
-  go 0
+  if d < 0 then invalid_arg "Flex.prefix: bad depth" else cut 0 0
 
-let equal a b = compare a b = 0
+let compare = String.compare
+let equal = String.equal
 
 let is_ancestor a k =
-  let la = Array.length a and lk = Array.length k in
-  la < lk
-  &&
-  let rec go i = i >= la || (String.equal a.(i) k.(i) && go (i + 1)) in
-  go 0
+  let la = String.length a in
+  String.length k > la && (la = 0 || (k.[la] = sep && String.starts_with ~prefix:a k))
 
 let is_ancestor_or_self a k = equal a k || is_ancestor a k
 
+let is_parent p k =
+  is_ancestor p k && not (String.contains_from k (if p = "" then 0 else String.length p + 1) sep)
+
+(* the longest common byte prefix, cut back to a component boundary *)
 let common_ancestor a b =
-  let n = min (Array.length a) (Array.length b) in
-  let rec go i = if i < n && String.equal a.(i) b.(i) then go (i + 1) else i in
-  Array.sub a 0 (go 0)
+  let la = String.length a and lb = String.length b in
+  let rec lcp i = if i < la && i < lb && a.[i] = b.[i] then lcp (i + 1) else i in
+  let i = lcp 0 in
+  let boundary s l = i = l || s.[i] = sep in
+  if boundary a la && boundary b lb then String.sub a 0 i
+  else match String.rindex_from_opt a (i - 1) sep with Some j -> String.sub a 0 j | None -> document
 
 (* Midpoint of two component strings, treated as base-26 fractions over
    digits 'a'(=0) .. 'z'(=25).  The no-trailing-'a' invariant on inputs
@@ -74,10 +70,8 @@ let common_ancestor a b =
    algorithm below (standard fractional indexing) also never produces a
    trailing 'a'. *)
 let between lo hi =
-  (match lo, hi with
-  | Some a, _ -> check_component a
-  | None, _ -> ());
-  (match hi with Some b -> check_component b | None -> ());
+  Option.iter check_component lo;
+  Option.iter check_component hi;
   (match lo, hi with
   | Some a, Some b when String.compare a b >= 0 ->
       invalid_arg (Printf.sprintf "Flex.between: %S >= %S" a b)
@@ -136,47 +130,53 @@ let sequence n =
       let rec go w cap = if cap >= n then w else go (w + 1) (cap * digits) in
       go 1 digits
     in
-    let component i =
-      let b = Bytes.make width 'b' in
-      let rec fill pos i =
-        if pos >= 0 then begin
-          Bytes.set b pos (Char.chr (Char.code 'b' + (i mod digits)));
-          fill (pos - 1) (i / digits)
-        end
-      in
-      fill (width - 1) i;
-      Bytes.to_string b
-    in
+    (* digit [pos] of [i] in base [digits], most significant first *)
+    let rec digit i pos = if pos = width - 1 then i mod digits else digit (i / digits) (pos + 1) in
+    let component i = String.init width (fun pos -> Char.chr (Char.code 'b' + digit i pos)) in
     List.init n component
   end
 
 type bound = Min | Before of t | After_key of t | After_subtree of t | Max
 
+(* [k] sorts after [t ^ "\x02"], i.e. past [t]'s whole subtree: one pass,
+   no allocation.  A descendant continues [t] with [sep] < '\x02'; a later
+   key differs upward before [t] ends or continues it with a letter. *)
+let past_subtree t k =
+  let lt = String.length t and lk = String.length k in
+  let rec go i =
+    if i = lt then i < lk && k.[i] > '\x02'
+    else i < lk && (if t.[i] = k.[i] then go (i + 1) else k.[i] > t.[i])
+  in
+  go 0
+
 let bound_compare_key b k =
   match b with
   | Min -> -1
   | Max -> 1
-  | Before t -> if compare t k <= 0 then -1 else 1
-  | After_key t -> if compare t k < 0 then -1 else 1
-  | After_subtree t -> if compare t k < 0 && not (is_ancestor t k) then -1 else 1
+  | Before t -> if String.compare t k <= 0 then -1 else 1
+  | After_key t -> if String.compare t k < 0 then -1 else 1
+  | After_subtree t -> if t <> "" && past_subtree t k then -1 else 1
 
 let key_in_range ~lo ~hi k = bound_compare_key lo k < 0 && bound_compare_key hi k > 0
 let subtree_range k = (Before k, After_subtree k)
 let descendants_range k = (After_key k, After_subtree k)
 
-let pp_sep = '.'
-
-let to_string k =
-  if Array.length k = 0 then "/" else String.concat "." (Array.to_list k)
+let to_string k = if k = "" then "/" else String.map (fun c -> if c = sep then '.' else c) k
 
 let of_string s =
-  if String.equal s "/" then document
-  else of_components (String.split_on_char pp_sep s)
+  if String.equal s "/" then document else of_components (String.split_on_char '.' s)
 
-let encode k = String.concat "\x01" (Array.to_list k)
+let encode k = k
 
 let decode s =
-  if String.length s = 0 then document
-  else of_components (String.split_on_char '\x01' s)
+  let n = String.length s in
+  (* [prev]: the previous byte, or [sep] at the start of a component *)
+  let rec ok i prev =
+    if i = n then n = 0 || (prev <> sep && prev <> 'a')
+    else match s.[i] with
+      | 'a' .. 'z' as c -> ok (i + 1) c
+      | c -> c = sep && prev <> sep && prev <> 'a' && ok (i + 1) sep
+  in
+  if ok 0 sep then s else invalid_arg (Printf.sprintf "Flex.decode: malformed key %S" s)
 
 let pp ppf k = Format.pp_print_string ppf (to_string k)

@@ -12,7 +12,19 @@
     the descendants of a node are exactly the keys having its key as a
     proper prefix.  Both properties are what make index-only XPath plans
     possible: every axis becomes a contiguous range or a simple key
-    transformation. *)
+    transformation.
+
+    {b Representation.}  A key is one immutable byte string: its components
+    joined by byte [0x01], which sorts below every component character, so
+    plain byte order is document order.  The document key is [""].  This
+    string is also the key's on-disk form ({!encode} is the identity).
+
+    {b Costs.}  [compare] and [equal] are [String.compare] and
+    [String.equal]: O(common prefix), no allocation.  So are
+    {!bound_compare_key} probes.  [is_ancestor a k] is O(length of [a]),
+    [is_parent p k] O(length of [k]).
+    [depth], [prefix], [parent] and [last_component] scan the key:
+    O(length); the last three, like [child], allocate their result. *)
 
 type t
 (** A FLEX key.  The empty key denotes the document node, the ancestor of
@@ -24,9 +36,6 @@ val document : t
 val of_components : string list -> t
 (** [of_components cs] builds a key from components.
     @raise Invalid_argument if any component is invalid. *)
-
-val components : t -> string list
-(** Components of the key, outermost first. *)
 
 val depth : t -> int
 (** Number of components.  [depth document = 0]; children of the document
@@ -59,6 +68,10 @@ val is_ancestor : t -> t -> bool
 (** [is_ancestor a k] — [a] is a {e proper} ancestor of [k]. *)
 
 val is_ancestor_or_self : t -> t -> bool
+
+val is_parent : t -> t -> bool
+(** [is_parent p k] — [p] is the parent of [k]: an ancestor with no
+    component boundary after its own key. *)
 
 val common_ancestor : t -> t -> t
 (** Longest common prefix of two keys. *)
@@ -93,13 +106,12 @@ type bound =
   | Max  (** after every key *)
 
 val bound_compare_key : bound -> t -> int
-(** [bound_compare_key b k] is [< 0] if the bound lies before [k],
-    [0] never (bounds fall between keys; [Before t] compares [<= 0] to [t]
-    itself via [-1]... more precisely: [< 0] iff a cursor seeked to [b]
-    would yield [k] or a later key), and [> 0] if the bound lies after
-    [k].  Concretely: [Before t] is [<= k] iff [compare t k <= 0];
-    [After_subtree t] is [<= k] iff [k] is neither [t] nor a descendant
-    of [t] and [compare t k < 0]. *)
+(** [bound_compare_key b k] is [-1] if a cursor seeked to [b] yields [k]
+    or a later key, and [1] if [b] lies after [k]; never [0], since bounds
+    fall between keys.  Each bound compares as a plain key would: [Before t]
+    as [t], [After_key t] as [t ^ "\x00"], and [After_subtree t] as
+    [t ^ "\x02"], past every descendant of [t] (past every key when [t] is
+    the document).  One pass, no allocation. *)
 
 val key_in_range : lo:bound -> hi:bound -> t -> bool
 (** [key_in_range ~lo ~hi k] — [k] lies at or after [lo] and strictly
@@ -124,9 +136,13 @@ val of_string : string -> t
 val encode : t -> string
 (** Order-preserving byte encoding: [String.compare (encode a) (encode b)]
     equals [compare a b].  Components are joined with byte [0x01], which
-    sorts below every component character. *)
+    sorts below every component character.  This is the key itself, so
+    encoding is free. *)
 
 val decode : string -> t
-(** Inverse of {!encode}. @raise Invalid_argument on malformed input. *)
+(** Inverse of {!encode}: validates in one pass, without allocating.
+    @raise Invalid_argument on an empty component, a leading, trailing or
+    doubled [0x01], a byte outside ['a'..'z'], or a component ending in
+    ['a']. *)
 
 val pp : Format.formatter -> t -> unit

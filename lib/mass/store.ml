@@ -333,7 +333,11 @@ let open_file ?pool_pages ~dir () =
       List.init ndocs (fun _ ->
           let doc_id = Storage.Binio.r_u64 r in
           let doc_name = Storage.Binio.r_str r in
-          let doc_key = Flex.decode (Storage.Binio.r_str r) in
+          let doc_key =
+            match Flex.decode (Storage.Binio.r_str r) with
+            | k -> k
+            | exception Invalid_argument msg -> fail msg
+          in
           let element_count = Storage.Binio.r_u64 r in
           let text_count = Storage.Binio.r_u64 r in
           let attribute_count = Storage.Binio.r_u64 r in
@@ -794,7 +798,7 @@ let axis_cursor t (axis : Xpath.Ast.axis) test ctx : cursor =
   let depth = Flex.depth ctx in
   let named = tag_for_test ~principal test in
   let matches r = Record.matches_test ~principal test r in
-  let doc_root = if depth = 0 then None else Some (Flex.prefix ctx 1) in
+  let doc_root () = if depth = 0 then None else Some (Flex.prefix ctx 1) in
   match axis with
   | Xpath.Ast.Self ->
       let done_ = ref false in
@@ -808,7 +812,7 @@ let axis_cursor t (axis : Xpath.Ast.axis) test ctx : cursor =
       let lo, hi = Flex.descendants_range ctx in
       match named with
       | Some tag ->
-          tag_scan t.name_index tag ~lo ~hi ~filter:(fun k -> Flex.depth k = depth + 1)
+          tag_scan t.name_index tag ~lo ~hi ~filter:(Flex.is_parent ctx)
       | None ->
           child_skip_scan t ctx ~yield:(fun _ r -> non_attribute r && matches r))
   | Xpath.Ast.Descendant -> (
@@ -830,7 +834,7 @@ let axis_cursor t (axis : Xpath.Ast.axis) test ctx : cursor =
          contains attribute nodes only, so kind tests select nothing *)
       match test with
       | Xpath.Ast.Name_test n ->
-          tag_scan t.name_index ("@" ^ n) ~lo ~hi ~filter:(fun k -> Flex.depth k = depth + 1)
+          tag_scan t.name_index ("@" ^ n) ~lo ~hi ~filter:(Flex.is_parent ctx)
       | Xpath.Ast.Wildcard | Xpath.Ast.Node_test ->
           child_skip_scan t ctx ~yield:(fun _ r -> r.Record.kind = Record.Attribute)
       | Xpath.Ast.Text_test | Xpath.Ast.Comment_test | Xpath.Ast.Pi_test _ -> empty_cursor)
@@ -854,7 +858,7 @@ let axis_cursor t (axis : Xpath.Ast.axis) test ctx : cursor =
       in
       pull
   | Xpath.Ast.Following -> (
-      match doc_root with
+      match doc_root () with
       | None -> empty_cursor
       | Some root -> (
           let lo = Flex.After_subtree ctx in
@@ -863,7 +867,7 @@ let axis_cursor t (axis : Xpath.Ast.axis) test ctx : cursor =
           | Some tag -> tag_scan t.name_index tag ~lo ~hi ~filter:(fun _ -> true)
           | None -> doc_scan t ~lo ~hi ~filter:(fun _ r -> non_attribute r && matches r)))
   | Xpath.Ast.Preceding -> (
-      match doc_root with
+      match doc_root () with
       | None -> empty_cursor
       | Some root -> (
           let lo, _ = Flex.descendants_range root in
@@ -891,7 +895,7 @@ let axis_cursor t (axis : Xpath.Ast.axis) test ctx : cursor =
           let _, hi = Flex.subtree_range p in
           match named with
           | Some tag ->
-              tag_scan t.name_index tag ~lo ~hi ~filter:(fun k -> Flex.depth k = depth)
+              tag_scan t.name_index tag ~lo ~hi ~filter:(Flex.is_parent p)
           | None ->
               let state = ref lo in
               let rec pull () =
@@ -916,7 +920,7 @@ let axis_cursor t (axis : Xpath.Ast.axis) test ctx : cursor =
           let hi = Flex.Before ctx in
           match named with
           | Some tag ->
-              tag_scan_rev t.name_index tag ~lo ~hi ~filter:(fun k -> Flex.depth k = depth)
+              tag_scan_rev t.name_index tag ~lo ~hi ~filter:(Flex.is_parent p)
           | None ->
               (* reverse child scan: truncating any descendant to the
                  sibling depth jumps straight to the sibling *)
@@ -1332,6 +1336,11 @@ let load_file ?pool_pages ?order ?backend path =
     if n < 0 then fail "negative length" else n
   in
   let read_string () = read_exact (read_u64 ()) in
+  let read_key () =
+    match Flex.decode (read_string ()) with
+    | k -> k
+    | exception Invalid_argument msg -> fail msg
+  in
   if not (String.equal (read_exact (String.length snapshot_magic)) snapshot_magic) then
     fail "bad magic";
   let version = String.get_int64_le (read_exact 8) 0 in
@@ -1342,7 +1351,7 @@ let load_file ?pool_pages ?order ?backend path =
   let docs =
     List.init ndocs (fun i ->
         let doc_name = read_string () in
-        let doc_key = Flex.decode (read_string ()) in
+        let doc_key = read_key () in
         let element_count = read_u64 () in
         let text_count = read_u64 () in
         let attribute_count = read_u64 () in
@@ -1355,7 +1364,7 @@ let load_file ?pool_pages ?order ?backend path =
   t.next_doc_id <- ndocs;
   let nrecords = read_u64 () in
   for _ = 1 to nrecords do
-    let key = Flex.decode (read_string ()) in
+    let key = read_key () in
     let kind =
       match kind_of_code (Char.code (read_exact 1).[0]) with
       | k -> k

@@ -192,10 +192,91 @@ let prop_sequence_between_compatible =
           String.compare cs.(i) m < 0 && String.compare m cs.(i + 1) < 0)
         (Array.init (n - 1) Fun.id))
 
+(* ---- oracle: packed keys agree with the component-array reference ---- *)
+
+(* a small component pool makes shared prefixes, ancestors and
+   component-prefix siblings (b / bc) common *)
+let gen_cs =
+  let open QCheck.Gen in
+  let* d = int_range 0 5 in
+  list_size (return d) (oneofl [ "b"; "bc"; "c"; "cb"; "d"; "zz" ])
+
+let arb_cs = QCheck.make ~print:(String.concat ".") gen_cs
+let both cs = (Flex.of_components cs, Flex_ref.of_components cs)
+let same_key k r = String.equal (Flex.encode k) (Flex_ref.encode r)
+let sign x = Stdlib.compare x 0
+
+let prop_oracle_order =
+  QCheck.Test.make ~name:"oracle: compare, equal, ancestry, parent" ~count:1000
+    (QCheck.pair arb_cs arb_cs) (fun (a, b) ->
+      let (ka, ra), (kb, rb) = (both a, both b) in
+      sign (Flex.compare ka kb) = sign (Flex_ref.compare ra rb)
+      && Flex.equal ka kb = Flex_ref.equal ra rb
+      && Flex.is_ancestor ka kb = Flex_ref.is_ancestor ra rb
+      && Flex.is_ancestor_or_self ka kb = Flex_ref.is_ancestor_or_self ra rb
+      && Flex.is_parent ka kb
+         = (match Flex_ref.parent rb with Some p -> Flex_ref.equal p ra | None -> false)
+      && same_key (Flex.common_ancestor ka kb) (Flex_ref.common_ancestor ra rb))
+
+let prop_oracle_structure =
+  QCheck.Test.make ~name:"oracle: depth, parent, prefix, child" ~count:1000
+    (QCheck.pair arb_cs (QCheck.make gen_component)) (fun (cs, c) ->
+      let k, r = both cs in
+      let d = Flex.depth k in
+      d = Flex_ref.depth r
+      && (match (Flex.parent k, Flex_ref.parent r) with
+         | None, None -> true
+         | Some p, Some rp -> same_key p rp
+         | _ -> false)
+      && Flex.last_component k = Flex_ref.last_component r
+      && List.for_all
+           (fun i -> same_key (Flex.prefix k i) (Flex_ref.prefix r i))
+           (List.init (d + 1) Fun.id)
+      && same_key (Flex.child k c) (Flex_ref.child r c)
+      && (match Flex.prefix k (d + 1) with _ -> false | exception Invalid_argument _ -> true))
+
+let prop_oracle_serialization =
+  QCheck.Test.make ~name:"oracle: to_string, of_string, encode, decode" ~count:1000 arb_cs
+    (fun cs ->
+      let k, r = both cs in
+      String.equal (Flex.to_string k) (Flex_ref.to_string r)
+      && same_key (Flex.of_string (Flex.to_string k)) (Flex_ref.of_string (Flex_ref.to_string r))
+      && same_key (Flex.decode (Flex_ref.encode r)) (Flex_ref.decode (Flex.encode k)))
+
+let prop_oracle_bounds =
+  QCheck.Test.make ~name:"oracle: bound_compare_key, every bound form" ~count:1000
+    (QCheck.pair arb_cs arb_cs) (fun (t, k) ->
+      let (kt, rt), (kk, rk) = (both t, both k) in
+      List.for_all
+        (fun (b, rb) -> Flex.bound_compare_key b kk = Flex_ref.bound_compare_key rb rk)
+        [ (Flex.Min, Flex_ref.Min); (Flex.Before kt, Flex_ref.Before rt);
+          (Flex.After_key kt, Flex_ref.After_key rt);
+          (Flex.After_subtree kt, Flex_ref.After_subtree rt); (Flex.Max, Flex_ref.Max) ])
+
+(* the packed key is the on-disk encoding: pages, WAL records, snapshots
+   and manifests keep their bytes *)
+let prop_encode_pinned =
+  QCheck.Test.make ~name:"encode is the 0x01-joined components" ~count:500
+    (QCheck.make (QCheck.Gen.list_size (QCheck.Gen.int_range 0 6) gen_component))
+    (fun cs -> String.equal (Flex.encode (Flex.of_components cs)) (String.concat "\x01" cs))
+
+let test_decode_rejects () =
+  List.iter
+    (fun (what, s) ->
+      let rejects decode = match decode s with _ -> false | exception Invalid_argument _ -> true in
+      Alcotest.(check bool) ("decode rejects " ^ what) true (rejects Flex.decode);
+      Alcotest.(check bool) ("reference rejects " ^ what) true (rejects Flex_ref.decode))
+    [ ("empty component", "\x01"); ("leading 0x01", "\x01b"); ("trailing 0x01", "b\x01");
+      ("doubled 0x01", "b\x01\x01c"); ("byte outside a..z", "b\x01cA");
+      ("trailing a", "ba\x01c"); ("trailing a in the last component", "c\x01ba") ];
+  Alcotest.(check bool) "empty string is the document" true
+    (Flex.equal Flex.document (Flex.decode ""))
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_compare_total_order; prop_encode_order_preserving; prop_ancestor_matches_range;
-      prop_between; prop_between_iterated; prop_sequence_between_compatible ]
+      prop_between; prop_between_iterated; prop_sequence_between_compatible; prop_oracle_order;
+      prop_oracle_structure; prop_oracle_serialization; prop_oracle_bounds; prop_encode_pinned ]
 
 let suite =
   ( "flex",
@@ -205,5 +286,6 @@ let suite =
       Alcotest.test_case "between basic" `Quick test_between_basic;
       Alcotest.test_case "sequence" `Quick test_sequence;
       Alcotest.test_case "bounds" `Quick test_bounds;
-      Alcotest.test_case "serialization" `Quick test_serialization ]
+      Alcotest.test_case "serialization" `Quick test_serialization;
+      Alcotest.test_case "decode rejects malformed keys" `Quick test_decode_rejects ]
     @ props )

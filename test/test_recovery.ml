@@ -333,6 +333,35 @@ let test_corrupt_page_detected () =
       | exception Storage.Disk.Corrupt _ -> ());
       Store.close store)
 
+(* ---- a malformed key in the metadata is corruption, not a crash ---- *)
+
+let test_malformed_metadata_key () =
+  with_dir (fun dir ->
+      let store = Store.create ~backend:(Store.File { dir }) () in
+      ignore (Store.load_string store ~name:"tiny.xml" tiny_doc);
+      Store.close store;
+      (* rewrite the manifest's metadata with the document key's first
+         byte, just after its u32 length, set to 'A' *)
+      let disk = Storage.Disk.open_dir ~dir in
+      let meta = Storage.Disk.metadata disk in
+      let name = "tiny.xml" in
+      let rec find i = if String.sub meta i (String.length name) = name then i else find (i + 1) in
+      let bad = Bytes.of_string meta in
+      Bytes.set bad (find 0 + String.length name + 4) 'A';
+      Storage.Disk.set_metadata disk (Bytes.to_string bad);
+      Storage.Disk.checkpoint disk ~epoch:(Storage.Disk.committed_epoch disk);
+      Storage.Disk.close disk;
+      let fds () =
+        if Sys.file_exists "/proc/self/fd" then Array.length (Sys.readdir "/proc/self/fd") else 0
+      in
+      let before = fds () in
+      (match Store.open_file ~dir () with
+      | _ -> Alcotest.fail "a malformed metadata key must not open"
+      | exception Storage.Disk.Corrupt msg ->
+          Alcotest.(check bool) "message names the store" true (String.starts_with ~prefix:dir msg));
+      (* a leak shows as growth: finalisers may close other descriptors *)
+      Alcotest.(check bool) "disk handle closed" true (fds () <= before))
+
 (* ---- snapshots to and from the file backend ---- *)
 
 let test_snapshot_across_backends () =
@@ -404,6 +433,7 @@ let suite =
       Alcotest.test_case "manifest renamed, wal kept" `Quick
         test_manifest_renamed_wal_not_truncated;
       Alcotest.test_case "corrupt page detected" `Quick test_corrupt_page_detected;
+      Alcotest.test_case "malformed metadata key" `Quick test_malformed_metadata_key;
       Alcotest.test_case "snapshot across backends" `Quick
         test_snapshot_across_backends;
       Alcotest.test_case "constrained pool file io" `Quick
