@@ -130,9 +130,19 @@ module Make (K : KEY) = struct
     done;
     !lo
 
-  (* first index i with [a.(i) > k], or [length a]: the child an exact-key
-     descent takes (keys equal to a separator live in the right subtree) *)
-  let child_index seps k = lower_bound (fun s -> if K.compare s k > 0 then 0 else -1) seps
+  (* [lower_bound] specialised to a key, without a probe closure: the first
+     index i in [lo, hi) with [K.compare a.(i) k >= bias].  Bias 0 finds
+     [k]'s slot in a leaf; bias 1 finds the child an exact-key descent
+     takes (keys equal to a separator live in the right subtree). *)
+  let rec search a k bias lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) lsr 1 in
+      if K.compare a.(mid) k >= bias then search a k bias lo mid
+      else search a k bias (mid + 1) hi
+
+  let key_index keys k = search keys k 0 0 (Array.length keys)
+  let child_index seps k = search seps k 1 0 (Array.length seps)
 
   let node_entry_count = function
     | Leaf l -> Array.length l.keys
@@ -150,16 +160,16 @@ module Make (K : KEY) = struct
 
   (* ---- find ---- *)
 
-  let find t k =
-    let rec go page =
-      match P.read t.pager page with
-      | Leaf l ->
-          let i = lower_bound (fun k' -> K.compare k' k) l.keys in
-          if i < Array.length l.keys && K.compare l.keys.(i) k = 0 then Some l.vals.(i)
-          else None
-      | Node n -> go n.children.(child_index n.seps k)
-    in
-    go t.root
+  (* descents are top-level recursions so that they allocate nothing *)
+  let rec find_in t page k =
+    match P.read t.pager page with
+    | Leaf l ->
+        let i = key_index l.keys k in
+        if i < Array.length l.keys && K.compare l.keys.(i) k = 0 then Some l.vals.(i)
+        else None
+    | Node n -> find_in t n.children.(child_index n.seps k) k
+
+  let find t k = find_in t t.root k
 
   let mem t k = find t k <> None
 
@@ -170,7 +180,7 @@ module Make (K : KEY) = struct
   let rec ins t page k v : bool * 'v split option =
     match P.read t.pager page with
     | Leaf l ->
-        let i = lower_bound (fun k' -> K.compare k' k) l.keys in
+        let i = key_index l.keys k in
         if i < Array.length l.keys && K.compare l.keys.(i) k = 0 then begin
           let vals = Array.copy l.vals in
           vals.(i) <- v;
@@ -259,7 +269,7 @@ module Make (K : KEY) = struct
     let rec go page =
       match P.read t.pager page with
       | Leaf l ->
-          let i = lower_bound (fun k' -> K.compare k' k) l.keys in
+          let i = key_index l.keys k in
           if i < Array.length l.keys && K.compare l.keys.(i) k = 0 then begin
             P.write t.pager page
               (Leaf { l with keys = remove_at l.keys i; vals = remove_at l.vals i });
@@ -280,19 +290,18 @@ module Make (K : KEY) = struct
 
   (* ---- probing ---- *)
 
-  let rank t f =
-    let rec go page =
-      match P.read t.pager page with
-      | Leaf l -> lower_bound f l.keys
-      | Node n ->
-          let i = lower_bound f n.seps in
-          let before = ref 0 in
-          for j = 0 to i - 1 do
-            before := !before + n.counts.(j)
-          done;
-          !before + go n.children.(i)
-    in
-    go t.root
+  let rec rank_in t f page =
+    match P.read t.pager page with
+    | Leaf l -> lower_bound f l.keys
+    | Node n ->
+        let i = lower_bound f n.seps in
+        let before = ref 0 in
+        for j = 0 to i - 1 do
+          before := !before + n.counts.(j)
+        done;
+        !before + rank_in t f n.children.(i)
+
+  let rank t f = rank_in t f t.root
 
   let count_range t ~lo ~hi =
     let n = rank t hi - rank t lo in
@@ -300,75 +309,78 @@ module Make (K : KEY) = struct
 
   (* ---- cursors ---- *)
 
-  type 'v cursor = { tree : 'v t; mutable page : int; mutable idx : int }
-  (* Position: before entry [idx] of leaf [page]. [idx] may equal the leaf
-     length, meaning "at the end of this leaf". *)
-
-  let seek t f =
-    let rec go page =
-      match P.read t.pager page with
-      | Leaf l -> { tree = t; page; idx = lower_bound f l.keys }
-      | Node n -> go n.children.(lower_bound f n.seps)
-    in
-    go t.root
-
-  let seek_key t k = seek t (fun k' -> K.compare k' k)
-  let seek_min t = seek t (fun _ -> 0)
-
-  let seek_max t =
-    let rec go page =
-      match P.read t.pager page with
-      | Leaf l -> { tree = t; page; idx = Array.length l.keys }
-      | Node n -> go n.children.(Array.length n.children - 1)
-    in
-    go t.root
+  (* Position: before entry [idx] of the pinned leaf image [leaf]; [idx] may
+     equal the leaf length, meaning "at the end of this leaf".  [cur] is the
+     entry the last step passed over, -1 if none.  Steps inside [leaf] never
+     touch the pager; the image cannot go stale because any update
+     invalidates the cursor. *)
+  type 'v cursor = { tree : 'v t; mutable leaf : 'v leaf; mutable idx : int; mutable cur : int }
 
   let read_leaf t page =
     match P.read t.pager page with
     | Leaf l -> l
     | Node _ -> assert false
 
-  let next c =
-    let rec go page idx =
-      let l = read_leaf c.tree page in
-      if idx < Array.length l.keys then begin
-        c.page <- page;
-        c.idx <- idx + 1;
-        Some (l.keys.(idx), l.vals.(idx))
-      end
-      else if l.next = nil then begin
-        c.page <- page;
-        c.idx <- idx;
-        None
-      end
-      else go l.next 0
-    in
-    go c.page c.idx
+  let rec seek_in t f page =
+    match P.read t.pager page with
+    | Leaf l -> { tree = t; leaf = l; idx = lower_bound f l.keys; cur = -1 }
+    | Node n -> seek_in t f n.children.(lower_bound f n.seps)
 
-  let prev c =
-    let rec go page idx =
-      let l = read_leaf c.tree page in
-      if idx > 0 then begin
-        c.page <- page;
-        c.idx <- idx - 1;
-        Some (l.keys.(idx - 1), l.vals.(idx - 1))
-      end
-      else if l.prev = nil then begin
-        c.page <- page;
-        c.idx <- 0;
-        None
-      end
-      else
-        let pl = read_leaf c.tree l.prev in
-        go l.prev (Array.length pl.keys)
-    in
-    go c.page c.idx
+  let seek t f = seek_in t f t.root
+  let seek_key t k = seek t (fun k' -> K.compare k' k)
+  let seek_min t = seek t (fun _ -> 0)
+
+  let rec seek_max_in t page =
+    match P.read t.pager page with
+    | Leaf l -> { tree = t; leaf = l; idx = Array.length l.keys; cur = -1 }
+    | Node n -> seek_max_in t n.children.(Array.length n.children - 1)
+
+  let seek_max t = seek_max_in t t.root
+
+  (* empty leaves left by deletion are crossed without stopping *)
+  let rec step c =
+    if c.idx < Array.length c.leaf.keys then begin
+      c.cur <- c.idx;
+      c.idx <- c.idx + 1;
+      true
+    end
+    else if c.leaf.next = nil then begin
+      c.cur <- -1;
+      false
+    end
+    else begin
+      c.leaf <- read_leaf c.tree c.leaf.next;
+      c.idx <- 0;
+      step c
+    end
+
+  let rec step_back c =
+    if c.idx > 0 then begin
+      c.idx <- c.idx - 1;
+      c.cur <- c.idx;
+      true
+    end
+    else if c.leaf.prev = nil then begin
+      c.cur <- -1;
+      false
+    end
+    else begin
+      c.leaf <- read_leaf c.tree c.leaf.prev;
+      c.idx <- Array.length c.leaf.keys;
+      step_back c
+    end
+
+  let key c = c.leaf.keys.(c.cur)
+  let value c = c.leaf.vals.(c.cur)
+  let next c = if step c then Some (key c, value c) else None
+  let prev c = if step_back c then Some (key c, value c) else None
 
   let peek c =
-    let saved_page = c.page and saved_idx = c.idx in
+    let leaf = c.leaf and idx = c.idx and cur = c.cur in
     let r = next c in
-    c.page <- saved_page;
-    c.idx <- saved_idx;
+    c.leaf <- leaf;
+    c.idx <- idx;
+    c.cur <- cur;
     r
 
   let min_binding t = next (seek_min t)
@@ -378,14 +390,9 @@ module Make (K : KEY) = struct
 
   let iter f t =
     let c = seek_min t in
-    let rec go () =
-      match next c with
-      | Some (k, v) ->
-          f k v;
-          go ()
-      | None -> ()
-    in
-    go ()
+    while step c do
+      f (key c) (value c)
+    done
 
   let fold f init t =
     let acc = ref init in

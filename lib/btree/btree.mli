@@ -108,7 +108,9 @@ module Make (K : KEY) : sig
   (** {1 Cursors}
 
       A cursor is a position between entries.  Cursors are invalidated by
-      any update to the tree. *)
+      any update to the tree.  A cursor pins the image of the leaf it sits
+      on: a step within that leaf reads no page, and crossing to a sibling
+      leaf is one pager read. *)
 
   type 'v cursor
 
@@ -122,8 +124,23 @@ module Make (K : KEY) : sig
   val seek_max : 'v t -> 'v cursor
   (** Position after the last entry. *)
 
+  val step : 'v cursor -> bool
+  (** Advance past the entry just after the cursor; [false] at the end.
+      Allocates nothing. *)
+
+  val step_back : 'v cursor -> bool
+  (** Retreat before the entry just before the cursor; [false] at the
+      start.  Allocates nothing. *)
+
+  val key : 'v cursor -> K.t
+  val value : 'v cursor -> 'v
+  (** The entry the last {!step} or {!step_back} passed over.
+      @raise Invalid_argument if that call returned [false] or none was
+      made since the cursor was positioned. *)
+
   val next : 'v cursor -> (K.t * 'v) option
-  (** Entry just after the cursor, advancing past it. *)
+  (** Entry just after the cursor, advancing past it: {!step} then
+      {!key} and {!value}. *)
 
   val prev : 'v cursor -> (K.t * 'v) option
   (** Entry just before the cursor, retreating before it. *)

@@ -32,23 +32,33 @@ let parent k = if k = "" then None else Some (String.sub k 0 (max 0 (last_start 
 let last_component k =
   if k = "" then None else Some (String.sub k (last_start k) (String.length k - last_start k))
 
+(* the first [sep] at or after [i], or the key's length *)
+let rec sep_from k i = if i >= String.length k || k.[i] = sep then i else sep_from k (i + 1)
+
+(* the end of the [d]th component counted from the one starting at [i],
+   or -1 if the key runs out first; allocation-free *)
+let rec prefix_end k d i =
+  let j = sep_from k i in
+  if d = 1 then j else if j = String.length k then -1 else prefix_end k (d - 1) (j + 1)
+
 let prefix k d =
-  (* [i]: start of component [seen + 1] *)
-  let rec cut i seen =
-    if seen = d then String.sub k 0 (max 0 (i - 1))
-    else match String.index_from_opt k i sep with
-      | Some j -> cut (j + 1) (seen + 1)
-      | None when seen + 1 = d && k <> "" -> k
-      | None -> invalid_arg "Flex.prefix: bad depth"
-  in
-  if d < 0 then invalid_arg "Flex.prefix: bad depth" else cut 0 0
+  if d = 0 then document
+  else
+    let e = if d < 0 || k = "" then -1 else prefix_end k d 0 in
+    if e < 0 then invalid_arg "Flex.prefix: bad depth"
+    else if e = String.length k then k
+    else String.sub k 0 e
 
 let compare = String.compare
 let equal = String.equal
 
+(* bytes [i, n) of [a] and [k] agree; unlike [String.starts_with], no
+   closure is allocated per call *)
+let rec same_bytes a k i n = i = n || (a.[i] = k.[i] && same_bytes a k (i + 1) n)
+
 let is_ancestor a k =
   let la = String.length a in
-  String.length k > la && (la = 0 || (k.[la] = sep && String.starts_with ~prefix:a k))
+  String.length k > la && (la = 0 || (k.[la] = sep && same_bytes a k 0 la))
 
 let is_ancestor_or_self a k = equal a k || is_ancestor a k
 
@@ -138,16 +148,13 @@ let sequence n =
 
 type bound = Min | Before of t | After_key of t | After_subtree of t | Max
 
-(* [k] sorts after [t ^ "\x02"], i.e. past [t]'s whole subtree: one pass,
-   no allocation.  A descendant continues [t] with [sep] < '\x02'; a later
-   key differs upward before [t] ends or continues it with a letter. *)
-let past_subtree t k =
-  let lt = String.length t and lk = String.length k in
-  let rec go i =
-    if i = lt then i < lk && k.[i] > '\x02'
-    else i < lk && (if t.[i] = k.[i] then go (i + 1) else k.[i] > t.[i])
-  in
-  go 0
+(* [k] sorts after [t ^ "\x02"], i.e. past [t]'s whole subtree, comparing
+   from byte [i]: one pass, no allocation.  A descendant continues [t] with
+   [sep] < '\x02'; a later key differs upward before [t] ends or continues
+   it with a letter. *)
+let rec past_subtree t k i =
+  if i = String.length t then i < String.length k && k.[i] > '\x02'
+  else i < String.length k && if t.[i] = k.[i] then past_subtree t k (i + 1) else k.[i] > t.[i]
 
 let bound_compare_key b k =
   match b with
@@ -155,7 +162,7 @@ let bound_compare_key b k =
   | Max -> 1
   | Before t -> if String.compare t k <= 0 then -1 else 1
   | After_key t -> if String.compare t k < 0 then -1 else 1
-  | After_subtree t -> if t <> "" && past_subtree t k then -1 else 1
+  | After_subtree t -> if t <> "" && past_subtree t k 0 then -1 else 1
 
 let key_in_range ~lo ~hi k = bound_compare_key lo k < 0 && bound_compare_key hi k > 0
 let subtree_range k = (Before k, After_subtree k)

@@ -622,23 +622,21 @@ let string_value t key =
       | Record.Text | Record.Comment -> r.Record.value
       | Record.Attribute -> r.Record.value
       | Record.Pi -> r.Record.value
-      | Record.Element | Record.Document ->
-          let buf = Buffer.create 32 in
+      | Record.Element | Record.Document -> (
           let lo, hi = Flex.subtree_range key in
           let c = DocTree.seek t.doc_index (key_probe lo) in
-          let rec go () =
-            match DocTree.next c with
-            | Some (k, r) when Flex.bound_compare_key hi k > 0 ->
-                (match r.Record.kind with
-                | Record.Text -> Buffer.add_string buf r.Record.value
-                | Record.Document | Record.Element | Record.Attribute | Record.Comment
-                | Record.Pi ->
-                    ());
-                go ()
-            | Some _ | None -> ()
+          let rec texts acc =
+            if DocTree.step c && Flex.bound_compare_key hi (DocTree.key c) > 0 then
+              let r = DocTree.value c in
+              match r.Record.kind with
+              | Record.Text -> texts (r.Record.value :: acc)
+              | Record.Document | Record.Element | Record.Attribute | Record.Comment
+              | Record.Pi ->
+                  texts acc
+            else acc
           in
-          go ();
-          Buffer.contents buf)
+          (* the common single text descendant is returned without a copy *)
+          match texts [] with [ s ] -> s | l -> String.concat "" (List.rev l)))
 
 (* ---- counting (index-only) ---- *)
 
@@ -721,10 +719,12 @@ let cursor_of_list keys =
 let tag_scan tree tag ~lo ~hi ~filter =
   let c = TagTree.seek tree (tag_probe tag lo) in
   let rec pull () =
-    match TagTree.next c with
-    | Some ((tag', k), ()) when String.equal tag' tag && Flex.bound_compare_key hi k > 0 ->
-        if filter k then Some k else pull ()
-    | Some _ | None -> None
+    if not (TagTree.step c) then None
+    else
+      let tag', k = TagTree.key c in
+      if not (String.equal tag' tag && Flex.bound_compare_key hi k > 0) then None
+      else if filter k then Some k
+      else pull ()
   in
   pull
 
@@ -732,10 +732,12 @@ let tag_scan tree tag ~lo ~hi ~filter =
 let tag_scan_rev tree tag ~lo ~hi ~filter =
   let c = TagTree.seek tree (tag_probe tag hi) in
   let rec pull () =
-    match TagTree.prev c with
-    | Some ((tag', k), ()) when String.equal tag' tag && Flex.bound_compare_key lo k < 0 ->
-        if filter k then Some k else pull ()
-    | Some _ | None -> None
+    if not (TagTree.step_back c) then None
+    else
+      let tag', k = TagTree.key c in
+      if not (String.equal tag' tag && Flex.bound_compare_key lo k < 0) then None
+      else if filter k then Some k
+      else pull ()
   in
   pull
 
@@ -743,10 +745,9 @@ let tag_scan_rev tree tag ~lo ~hi ~filter =
 let doc_scan t ~lo ~hi ~filter =
   let c = DocTree.seek t.doc_index (key_probe lo) in
   let rec pull () =
-    match DocTree.next c with
-    | Some (k, r) when Flex.bound_compare_key hi k > 0 ->
-        if filter k r then Some k else pull ()
-    | Some _ | None -> None
+    if not (DocTree.step c && Flex.bound_compare_key hi (DocTree.key c) > 0) then None
+    else if filter (DocTree.key c) (DocTree.value c) then Some (DocTree.key c)
+    else pull ()
   in
   pull
 
@@ -754,10 +755,9 @@ let doc_scan t ~lo ~hi ~filter =
 let doc_scan_rev t ~lo ~hi ~filter =
   let c = DocTree.seek t.doc_index (key_probe hi) in
   let rec pull () =
-    match DocTree.prev c with
-    | Some (k, r) when Flex.bound_compare_key lo k < 0 ->
-        if filter k r then Some k else pull ()
-    | Some _ | None -> None
+    if not (DocTree.step_back c && Flex.bound_compare_key lo (DocTree.key c) < 0) then None
+    else if filter (DocTree.key c) (DocTree.value c) then Some (DocTree.key c)
+    else pull ()
   in
   pull
 
@@ -768,15 +768,20 @@ let child_skip_scan t parent ~yield =
   let _, stop = Flex.subtree_range parent in
   let rec pull () =
     let c = DocTree.seek t.doc_index (key_probe !state) in
-    match DocTree.next c with
-    | Some (k, r) when Flex.bound_compare_key stop k > 0 ->
-        state := Flex.After_subtree k;
-        if yield k r then Some k else pull ()
-    | Some _ | None -> None
+    if not (DocTree.step c && Flex.bound_compare_key stop (DocTree.key c) > 0) then None
+    else begin
+      let k = DocTree.key c in
+      state := Flex.After_subtree k;
+      if yield k (DocTree.value c) then Some k else pull ()
+    end
   in
   pull
 
 let non_attribute (r : Record.t) = r.Record.kind <> Record.Attribute
+
+(* a node of the tree axes (not an attribute) that passes the node test *)
+let tree_node_matches ~principal test r =
+  non_attribute r && Record.matches_test ~principal test r
 
 (* named tag for index-driven evaluation, when the node test pins one *)
 let tag_for_test ~principal (test : Xpath.Ast.node_test) =
@@ -797,8 +802,8 @@ let axis_cursor t (axis : Xpath.Ast.axis) test ctx : cursor =
   in
   let depth = Flex.depth ctx in
   let named = tag_for_test ~principal test in
-  let matches r = Record.matches_test ~principal test r in
-  let doc_root () = if depth = 0 then None else Some (Flex.prefix ctx 1) in
+  (* no local helper closures: a cursor open is on the hot path, and a
+     closure costs its allocation in every branch, needed or not *)
   match axis with
   | Xpath.Ast.Self ->
       let done_ = ref false in
@@ -806,7 +811,9 @@ let axis_cursor t (axis : Xpath.Ast.axis) test ctx : cursor =
         if !done_ then None
         else begin
           done_ := true;
-          match get t ctx with Some r when matches r -> Some ctx | _ -> None
+          match get t ctx with
+          | Some r when Record.matches_test ~principal test r -> Some ctx
+          | _ -> None
         end
   | Xpath.Ast.Child -> (
       let lo, hi = Flex.descendants_range ctx in
@@ -814,12 +821,12 @@ let axis_cursor t (axis : Xpath.Ast.axis) test ctx : cursor =
       | Some tag ->
           tag_scan t.name_index tag ~lo ~hi ~filter:(Flex.is_parent ctx)
       | None ->
-          child_skip_scan t ctx ~yield:(fun _ r -> non_attribute r && matches r))
+          child_skip_scan t ctx ~yield:(fun _ r -> tree_node_matches ~principal test r))
   | Xpath.Ast.Descendant -> (
       let lo, hi = Flex.descendants_range ctx in
       match named with
       | Some tag -> tag_scan t.name_index tag ~lo ~hi ~filter:(fun _ -> true)
-      | None -> doc_scan t ~lo ~hi ~filter:(fun _ r -> non_attribute r && matches r))
+      | None -> doc_scan t ~lo ~hi ~filter:(fun _ r -> tree_node_matches ~principal test r))
   | Xpath.Ast.Descendant_or_self -> (
       let lo, hi = Flex.subtree_range ctx in
       match named with
@@ -827,7 +834,7 @@ let axis_cursor t (axis : Xpath.Ast.axis) test ctx : cursor =
       | None ->
           (* the context node itself stays in even when it is an attribute *)
           doc_scan t ~lo ~hi ~filter:(fun k r ->
-              (non_attribute r || Flex.equal k ctx) && matches r))
+              (non_attribute r || Flex.equal k ctx) && Record.matches_test ~principal test r))
   | Xpath.Ast.Attribute -> (
       let lo, hi = Flex.descendants_range ctx in
       (* only a name test can ride the name index here: the attribute axis
@@ -843,41 +850,39 @@ let axis_cursor t (axis : Xpath.Ast.axis) test ctx : cursor =
       | None -> empty_cursor
       | Some p -> (
           match get t p with
-          | Some r when matches r -> cursor_of_list [ p ]
+          | Some r when Record.matches_test ~principal test r -> cursor_of_list [ p ]
           | _ -> empty_cursor))
   | Xpath.Ast.Ancestor | Xpath.Ast.Ancestor_or_self ->
-      (* proximity order: nearest ancestor first *)
-      let start = if axis = Xpath.Ast.Ancestor_or_self then depth else depth - 1 in
-      let keys = ref (List.init (max start 0) (fun i -> Flex.prefix ctx (start - i))) in
+      (* proximity order: nearest ancestor first, up to the document node
+         (the store root above it is not a node) *)
+      let next = ref (if axis = Xpath.Ast.Ancestor_or_self then Some ctx else Flex.parent ctx) in
       let rec pull () =
-        match !keys with
-        | [] -> None
-        | k :: tl -> (
-            keys := tl;
-            match get t k with Some r when matches r -> Some k | _ -> pull ())
+        match !next with
+        | Some k when not (Flex.equal k Flex.document) -> (
+            next := Flex.parent k;
+            match get t k with
+            | Some r when Record.matches_test ~principal test r -> Some k
+            | _ -> pull ())
+        | Some _ | None -> None
       in
       pull
+  | Xpath.Ast.Following when depth = 0 -> empty_cursor
   | Xpath.Ast.Following -> (
-      match doc_root () with
-      | None -> empty_cursor
-      | Some root -> (
-          let lo = Flex.After_subtree ctx in
-          let _, hi = Flex.subtree_range root in
-          match named with
-          | Some tag -> tag_scan t.name_index tag ~lo ~hi ~filter:(fun _ -> true)
-          | None -> doc_scan t ~lo ~hi ~filter:(fun _ r -> non_attribute r && matches r)))
+      let lo = Flex.After_subtree ctx in
+      let _, hi = Flex.subtree_range (Flex.prefix ctx 1) in
+      match named with
+      | Some tag -> tag_scan t.name_index tag ~lo ~hi ~filter:(fun _ -> true)
+      | None -> doc_scan t ~lo ~hi ~filter:(fun _ r -> tree_node_matches ~principal test r))
+  | Xpath.Ast.Preceding when depth = 0 -> empty_cursor
   | Xpath.Ast.Preceding -> (
-      match doc_root () with
-      | None -> empty_cursor
-      | Some root -> (
-          let lo, _ = Flex.descendants_range root in
-          let hi = Flex.Before ctx in
-          let not_ancestor k = not (Flex.is_ancestor k ctx) in
-          match named with
-          | Some tag -> tag_scan_rev t.name_index tag ~lo ~hi ~filter:not_ancestor
-          | None ->
-              doc_scan_rev t ~lo ~hi ~filter:(fun k r ->
-                  not_ancestor k && non_attribute r && matches r)))
+      let lo, _ = Flex.descendants_range (Flex.prefix ctx 1) in
+      let hi = Flex.Before ctx in
+      let not_ancestor k = not (Flex.is_ancestor k ctx) in
+      match named with
+      | Some tag -> tag_scan_rev t.name_index tag ~lo ~hi ~filter:not_ancestor
+      | None ->
+          doc_scan_rev t ~lo ~hi ~filter:(fun k r ->
+              not_ancestor k && tree_node_matches ~principal test r))
   | Xpath.Ast.Following_sibling -> (
       match Flex.parent ctx with
       | None -> empty_cursor
@@ -900,11 +905,13 @@ let axis_cursor t (axis : Xpath.Ast.axis) test ctx : cursor =
               let state = ref lo in
               let rec pull () =
                 let c = DocTree.seek t.doc_index (key_probe !state) in
-                match DocTree.next c with
-                | Some (k, r) when Flex.bound_compare_key hi k > 0 ->
-                    state := Flex.After_subtree k;
-                    if non_attribute r && matches r then Some k else pull ()
-                | Some _ | None -> None
+                if not (DocTree.step c && Flex.bound_compare_key hi (DocTree.key c) > 0) then
+                  None
+                else begin
+                  let k = DocTree.key c and r = DocTree.value c in
+                  state := Flex.After_subtree k;
+                  if tree_node_matches ~principal test r then Some k else pull ()
+                end
               in
               pull))
   | Xpath.Ast.Preceding_sibling -> (
@@ -927,14 +934,15 @@ let axis_cursor t (axis : Xpath.Ast.axis) test ctx : cursor =
               let state = ref hi in
               let rec pull () =
                 let c = DocTree.seek t.doc_index (key_probe !state) in
-                match DocTree.prev c with
-                | Some (k, _) when Flex.bound_compare_key lo k < 0 -> (
-                    let sibling = Flex.prefix k depth in
-                    state := Flex.Before sibling;
-                    match get t sibling with
-                    | Some r when non_attribute r && matches r -> Some sibling
-                    | _ -> pull ())
-                | Some _ | None -> None
+                if not (DocTree.step_back c && Flex.bound_compare_key lo (DocTree.key c) < 0)
+                then None
+                else begin
+                  let sibling = Flex.prefix (DocTree.key c) depth in
+                  state := Flex.Before sibling;
+                  match get t sibling with
+                  | Some r when tree_node_matches ~principal test r -> Some sibling
+                  | _ -> pull ()
+                end
               in
               pull))
   | Xpath.Ast.Namespace -> empty_cursor
@@ -967,13 +975,12 @@ let value_range_cursor ?scope t ~lo ~hi =
   in
   let c = TagTree.seek t.value_index start_probe in
   let rec pull () =
-    match TagTree.next c with
-    | Some ((tag, k), ()) -> (
-        match hi with
-        | Some h when String.compare tag h > 0 -> None
-        | _ ->
-            if Flex.key_in_range ~lo:klo ~hi:khi k then Some k else pull ())
-    | None -> None
+    if not (TagTree.step c) then None
+    else
+      let tag, k = TagTree.key c in
+      match hi with
+      | Some h when String.compare tag h > 0 -> None
+      | _ -> if Flex.key_in_range ~lo:klo ~hi:khi k then Some k else pull ()
   in
   pull
 
@@ -981,9 +988,9 @@ let fold_document t doc f init =
   let lo, hi = Flex.subtree_range doc.doc_key in
   let c = DocTree.seek t.doc_index (key_probe lo) in
   let rec go acc =
-    match DocTree.next c with
-    | Some (k, r) when Flex.bound_compare_key hi k > 0 -> go (f acc k r)
-    | Some _ | None -> acc
+    if DocTree.step c && Flex.bound_compare_key hi (DocTree.key c) > 0 then
+      go (f acc (DocTree.key c) (DocTree.value c))
+    else acc
   in
   go init
 
@@ -1148,9 +1155,9 @@ let to_tree t key =
       let records =
         let c = DocTree.seek t.doc_index (key_probe lo) in
         let rec go acc =
-          match DocTree.next c with
-          | Some (k, r) when Flex.bound_compare_key hi k > 0 -> go ((k, r) :: acc)
-          | Some _ | None -> List.rev acc
+          if DocTree.step c && Flex.bound_compare_key hi (DocTree.key c) > 0 then
+            go ((DocTree.key c, DocTree.value c) :: acc)
+          else List.rev acc
         in
         go []
       in

@@ -23,7 +23,7 @@ type 'a entry = {
 }
 
 type 'a t = {
-  pages : (id, 'a entry) Hashtbl.t;
+  mutable pages : 'a entry option array;  (* indexed by id; [None] once freed *)
   mutable next_id : int;
   pool_pages : int;
   mutable resident_pages : int;
@@ -37,7 +37,7 @@ type 'a t = {
 let create ?(label = "pager") ?(pool_pages = 1024) ?(backend = Mem) () =
   if pool_pages < 1 then invalid_arg "Pager.create: pool_pages < 1";
   {
-    pages = Hashtbl.create 4096;
+    pages = Array.make 16 None;
     next_id = 0;
     pool_pages;
     resident_pages = 0;
@@ -54,12 +54,13 @@ let attach ?label ?pool_pages ~backend () =
   | File { disk; pool; _ } ->
       let t = create ?label ?pool_pages ~backend () in
       let ids = Disk.page_ids disk pool in
+      t.next_id <- 1 + List.fold_left max (-1) ids;
+      t.pages <- Array.make (max 16 t.next_id) None;
       List.iter
         (fun id ->
-          Hashtbl.add t.pages id
-            { payload = None; resident = false; dirty = false; prev = nil; next = nil })
+          t.pages.(id) <-
+            Some { payload = None; resident = false; dirty = false; prev = nil; next = nil })
         ids;
-      t.next_id <- 1 + List.fold_left max (-1) ids;
       t
 
 let label t = t.label
@@ -67,7 +68,7 @@ let pool_pages t = t.pool_pages
 let backend t = t.backend
 
 let get t id =
-  match Hashtbl.find_opt t.pages id with
+  match if id >= 0 && id < t.next_id then t.pages.(id) else None with
   | Some e -> e
   | None -> invalid_arg (Printf.sprintf "Pager: unknown page %d" id)
 
@@ -75,15 +76,15 @@ let get t id =
 
 let unlink t e =
   let p = e.prev and n = e.next in
-  if p <> nil then (Hashtbl.find t.pages p).next <- n else t.lru_head <- n;
-  if n <> nil then (Hashtbl.find t.pages n).prev <- p else t.lru_tail <- p;
+  if p <> nil then (get t p).next <- n else t.lru_head <- n;
+  if n <> nil then (get t n).prev <- p else t.lru_tail <- p;
   e.prev <- nil;
   e.next <- nil
 
 let push_front t id e =
   e.prev <- nil;
   e.next <- t.lru_head;
-  if t.lru_head <> nil then (Hashtbl.find t.pages t.lru_head).prev <- id;
+  if t.lru_head <> nil then (get t t.lru_head).prev <- id;
   t.lru_head <- id;
   if t.lru_tail = nil then t.lru_tail <- id
 
@@ -104,7 +105,7 @@ let write_back t id e =
 let evict_one t =
   let victim = t.lru_tail in
   assert (victim <> nil);
-  let e = Hashtbl.find t.pages victim in
+  let e = get t victim in
   unlink t e;
   e.resident <- false;
   let wrote_back = e.dirty in
@@ -127,19 +128,12 @@ let evict_one t =
         ("wrote_back", Obs.Bool wrote_back);
         ("evictions", Obs.Int t.stats.evictions) ]
 
-let make_resident t id e =
-  if e.resident then begin
-    (* refresh LRU position *)
-    unlink t e;
-    push_front t id e
-  end
-  else begin
-    if t.resident_pages >= t.pool_pages then evict_one t;
-    e.resident <- true;
-    t.resident_pages <- t.resident_pages + 1;
-    push_front t id e;
-    t.stats.physical_reads <- t.stats.physical_reads + 1
-  end
+(* enter the pool as the most recently used page, evicting if it is full *)
+let admit t id e =
+  if t.resident_pages >= t.pool_pages then evict_one t;
+  e.resident <- true;
+  t.resident_pages <- t.resident_pages + 1;
+  push_front t id e
 
 (* Fetch the payload, faulting it in from the disk layer when the file
    backend dropped it at eviction. *)
@@ -162,25 +156,31 @@ let alloc t payload =
   let e =
     { payload = Some payload; resident = false; dirty = true; prev = nil; next = nil }
   in
-  Hashtbl.add t.pages id e;
+  if id = Array.length t.pages then t.pages <- Array.append t.pages (Array.make id None);
+  t.pages.(id) <- Some e;
   t.stats.allocations <- t.stats.allocations + 1;
   (* a freshly allocated page is written in memory, not read from disk *)
-  if t.resident_pages >= t.pool_pages then evict_one t;
-  e.resident <- true;
-  t.resident_pages <- t.resident_pages + 1;
-  push_front t id e;
+  admit t id e;
   id
 
-let read t id =
+(* one logical access: fault the page in, or refresh its LRU position *)
+let touch t id =
   let e = get t id in
   t.stats.logical_reads <- t.stats.logical_reads + 1;
-  make_resident t id e;
-  payload_of t id e
+  if not e.resident then begin
+    admit t id e;
+    t.stats.physical_reads <- t.stats.physical_reads + 1
+  end
+  else if t.lru_head <> id (* the head is already in place *) then begin
+    unlink t e;
+    push_front t id e
+  end;
+  e
+
+let read t id = payload_of t id (touch t id)
 
 let write t id payload =
-  let e = get t id in
-  t.stats.logical_reads <- t.stats.logical_reads + 1;
-  make_resident t id e;
+  let e = touch t id in
   e.payload <- Some payload;
   e.dirty <- true
 
@@ -199,18 +199,18 @@ let free t id =
   (match t.backend with
   | Mem -> ()
   | File { disk; pool; _ } -> Disk.free_page disk pool ~id);
-  Hashtbl.remove t.pages id
+  t.pages.(id) <- None
 
 let flush t =
-  Hashtbl.iter
-    (fun id e ->
-      if e.resident && e.dirty then begin
+  for id = 0 to t.next_id - 1 do
+    match t.pages.(id) with
+    | Some e when e.resident && e.dirty ->
         write_back t id e;
         e.dirty <- false;
         t.stats.page_writes <- t.stats.page_writes + 1
-      end)
-    t.pages
+    | Some _ | None -> ()
+  done
 
-let page_count t = Hashtbl.length t.pages
+let page_count t = Array.fold_left (fun n e -> if Option.is_some e then n + 1 else n) 0 t.pages
 let resident_count t = t.resident_pages
 let stats t = t.stats

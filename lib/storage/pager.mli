@@ -5,7 +5,16 @@
     which pages are {e resident}.  Accessing a non-resident page counts a
     physical read and may evict the least-recently-used resident page
     (writing it back first if dirty).  This yields realistic relative I/O
-    costs for index probes versus scans without an actual disk. *)
+    costs for index probes versus scans without an actual disk.
+
+    One {e logical read} is one pager access ({!read} or {!write}): for
+    the B+-tree, a level of a descent or a crossing from one leaf to its
+    sibling.  Steps within a leaf a cursor has pinned do not reach the
+    pager and are not counted.
+
+    The page table is an array indexed by page id, so an access is an
+    array load; refreshing the LRU position of the most recently used
+    page is skipped, as it is already in place. *)
 
 type id = int
 (** Page identifier, dense from 0. *)
@@ -54,8 +63,9 @@ val alloc : 'a t -> 'a -> id
     resident and dirty. *)
 
 val read : 'a t -> id -> 'a
-(** Fetch a page's payload, updating LRU/statistics.
-    @raise Invalid_argument on an unknown id. *)
+(** Fetch a page's payload, updating LRU/statistics.  Allocates nothing
+    on the {!Mem} backend.
+    @raise Invalid_argument on an unknown, freed or negative id. *)
 
 val write : 'a t -> id -> 'a -> unit
 (** Replace a page's payload, marking it dirty (counts as a logical
@@ -68,7 +78,8 @@ val flush : 'a t -> unit
 (** Write back all dirty resident pages (counts page writes). *)
 
 val page_count : 'a t -> int
-(** Number of live (allocated, not freed) pages. *)
+(** Number of live (allocated, not freed) pages; linear in the highest
+    id, for introspection. *)
 
 val resident_count : 'a t -> int
 val stats : 'a t -> Stats.t

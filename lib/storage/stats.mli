@@ -3,7 +3,9 @@
     The reproduction runs on a simulated disk (everything is resident in
     process memory), so wall-clock time alone would understate the I/O
     behaviour the paper's figures depend on.  These counters make page
-    traffic observable: a {e logical read} is any page access, a
+    traffic observable: a {e logical read} is one pager access — a level
+    of a B+-tree descent or a cursor crossing to a sibling leaf; steps
+    within the leaf a cursor has pinned are free — and a
     {e physical read} is an access to a page not currently resident in
     the buffer pool. *)
 

@@ -109,7 +109,7 @@ and next_inner it : Flex.t option =
           match it.child with
           | Some c -> (
               match next c with
-              | Some k -> Some k
+              | Some _ as r -> r
               | None ->
                   it.st <- `Out_of_tuples;
                   None)
@@ -124,7 +124,7 @@ and next_step it =
   match it.cursor with
   | Some cur -> (
       match cur () with
-      | Some k -> if passes it k then Some k else next_step it
+      | Some k as r -> if passes it.store k it.layers then r else next_step it
       | None ->
           it.cursor <- None;
           next_step it)
@@ -221,12 +221,13 @@ and next_generic it s =
             None
           end)
 
-and passes it k =
-  List.for_all
-    (fun l ->
+(* closure-free: the position travels as an int, and only the predicates
+   that read it box it as a float *)
+and passes store k = function
+  | [] -> true
+  | l :: rest ->
       l.seen <- l.seen + 1;
-      eval_pred it.store l.pred k (float_of_int l.seen))
-    it.layers
+      eval_pred store l.pred k l.seen && passes store k rest
 
 and eval_pred store pred k position =
   match pred with
@@ -237,10 +238,10 @@ and eval_pred store pred k position =
   | RAnd (a, b) -> eval_pred store a k position && eval_pred store b k position
   | ROr (a, b) -> eval_pred store a k position || eval_pred store b k position
   | RNot a -> not (eval_pred store a k position)
-  | RPosition (cmp, n) -> num_cmp cmp position n
+  | RPosition (cmp, n) -> num_cmp cmp (float_of_int position) n
   | RGeneric e -> (
       match Nav.E.eval store ~context:k e with
-      | Xpath.Eval.Num f -> f = position
+      | Xpath.Eval.Num f -> f = float_of_int position
       | v -> Nav.E.to_boolean store v)
 
 and side store operand k =
@@ -297,5 +298,11 @@ let run_raw ?profile store ~context plan =
   let rec go acc = match next it with Some k -> go (k :: acc) | None -> List.rev acc in
   go []
 
+let rec strictly_sorted = function
+  | a :: (b :: _ as rest) -> Flex.compare a b < 0 && strictly_sorted rest
+  | [ _ ] | [] -> true
+
 let run ?profile store ~context plan =
-  List.sort_uniq Flex.compare (run_raw ?profile store ~context plan)
+  let keys = run_raw ?profile store ~context plan in
+  (* a stream already in document order is spared the O(n log n) sort *)
+  if strictly_sorted keys then keys else List.sort_uniq Flex.compare keys

@@ -209,6 +209,150 @@ let prop_cursor_model =
       in
       forward = IntMap.bindings !model && backward = forward)
 
+(* ---- leaf-pinned cursors ---- *)
+
+type cop = Seek of int | Step | Step_back | Next | Prev | Peek
+
+let print_cops (n, holes, ops) =
+  Printf.sprintf "n=%d holes=%s ops=%s" n
+    (String.concat "," (List.map (fun (lo, len) -> Printf.sprintf "%d+%d" lo len) holes))
+    (String.concat ";"
+       (List.map
+          (function
+            | Seek b -> Printf.sprintf "S%d" b
+            | Step -> "s"
+            | Step_back -> "b"
+            | Next -> "n"
+            | Prev -> "p"
+            | Peek -> "k")
+          ops))
+
+(* keys 0..n-1 at order 4, minus deleted runs: a run longer than a leaf
+   leaves empty leaves in the chain *)
+let gen_cursor_case =
+  let open QCheck.Gen in
+  let* n = int_range 0 150 in
+  let* holes = list_size (int_range 0 4) (pair (int_range 0 150) (int_range 1 30)) in
+  let op =
+    frequency
+      [ (1, map (fun b -> Seek b) (int_range (-2) 152));
+        (4, return Step);
+        (3, return Step_back);
+        (2, return Next);
+        (2, return Prev);
+        (1, return Peek) ]
+  in
+  let* ops = list_size (int_range 1 200) op in
+  return (n, holes, Seek 0 :: ops)
+
+let prop_cursor_steps =
+  QCheck.Test.make ~name:"step/step_back/next/prev/peek agree with a sorted list" ~count:300
+    (QCheck.make ~print:print_cops gen_cursor_case) (fun (n, holes, ops) ->
+      let t = mk (List.init n (fun i -> (i, 10 * i))) in
+      List.iter
+        (fun (lo, len) ->
+          for k = lo to lo + len - 1 do
+            ignore (T.delete t k)
+          done)
+        holes;
+      let model = Array.of_list (List.map fst (T.to_list t)) in
+      let len = Array.length model in
+      let c = ref (T.seek_min t) and pos = ref 0 and cur = ref None in
+      let entry i = Some (model.(i), 10 * model.(i)) in
+      (* after a step, [key]/[value] name the entry passed over *)
+      let current_ok () =
+        match !cur with
+        | Some i -> T.key !c = model.(i) && T.value !c = 10 * model.(i)
+        | None -> (
+            match T.key !c with _ -> false | exception Invalid_argument _ -> true)
+      in
+      let forward () =
+        if !pos < len then begin
+          cur := Some !pos;
+          incr pos
+        end
+        else cur := None;
+        !cur
+      in
+      let backward () =
+        if !pos > 0 then begin
+          decr pos;
+          cur := Some !pos
+        end
+        else cur := None;
+        !cur
+      in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | Seek b ->
+                c := T.seek t (fun k -> Int.compare k b);
+                pos := 0;
+                while !pos < len && model.(!pos) < b do
+                  incr pos
+                done;
+                cur := None;
+                true
+            | Step -> T.step !c = (forward () <> None)
+            | Step_back -> T.step_back !c = (backward () <> None)
+            | Next -> T.next !c = Option.bind (forward ()) entry
+            | Prev -> T.prev !c = Option.bind (backward ()) entry
+            | Peek -> T.peek !c = if !pos < len then entry !pos else None
+          in
+          ok && current_ok ())
+        ops)
+
+let test_scan_reads_per_leaf () =
+  (* a leaf-pinned scan reads the descent plus one page per leaf crossed,
+     not one page per entry *)
+  let n = 2000 in
+  List.iter
+    (fun order ->
+      let t = mk ~order (List.init n (fun i -> (i * 7919 mod n, i))) in
+      let s0 = (T.stats t).Storage.Stats.logical_reads in
+      let c = T.seek_min t in
+      let seen = ref 0 in
+      while T.step c do
+        incr seen
+      done;
+      let reads = (T.stats t).Storage.Stats.logical_reads - s0 in
+      let half = (order + 1) / 2 in
+      let bound = T.height t + ((n + half - 1) / half) in
+      Alcotest.(check int) "scan saw every entry" n !seen;
+      Alcotest.(check bool)
+        (Printf.sprintf "order %d: scan read %d pages (<= %d)" order reads bound)
+        true (reads <= bound))
+    [ 4; 5; 8; 64 ]
+
+let test_step_allocates_nothing () =
+  let t = mk (List.init 100 (fun i -> (i, i))) in
+  let c = T.seek_min t in
+  let before = Gc.minor_words () in
+  let sum = ref 0 in
+  while T.step c do
+    sum := !sum + T.key c
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "scanned all" 4950 !sum;
+  Alcotest.(check bool)
+    (Printf.sprintf "a scan over %d pages allocated %.0f minor words"
+       (T.page_count t) words)
+    true (words <= 16.0)
+
+let test_find_allocates_only_the_option () =
+  let t = mk ~order:8 (List.init 1000 (fun i -> (i, i))) in
+  let calls = 10_000 in
+  let before = Gc.minor_words () in
+  for i = 1 to calls do
+    ignore (T.find t (i mod 1000))
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d finds allocated %.0f minor words" calls words)
+    true
+    (words <= (2.0 *. float_of_int calls) +. 16.0)
+
 let suite =
   ( "btree",
     [ Alcotest.test_case "empty tree" `Quick test_empty;
@@ -223,4 +367,9 @@ let suite =
       Alcotest.test_case "seek by probe" `Quick test_seek_probe;
       QCheck_alcotest.to_alcotest prop_model;
       QCheck_alcotest.to_alcotest prop_rank_model;
-      QCheck_alcotest.to_alcotest prop_cursor_model ] )
+      Alcotest.test_case "scan reads one page per leaf" `Quick test_scan_reads_per_leaf;
+      Alcotest.test_case "step allocates nothing" `Quick test_step_allocates_nothing;
+      Alcotest.test_case "find allocates only the option" `Quick
+        test_find_allocates_only_the_option;
+      QCheck_alcotest.to_alcotest prop_cursor_model;
+      QCheck_alcotest.to_alcotest prop_cursor_steps ] )

@@ -319,6 +319,22 @@ let prop_count_matches_cursor =
         [ Xpath.Ast.Name_test "a"; Xpath.Ast.Name_test "person"; Xpath.Ast.Text_test;
           Xpath.Ast.Comment_test ])
 
+let test_get_allocates_only_the_option () =
+  let store = Store.create ~backend:Store.Mem ~order:8 () in
+  let doc = Store.load_string store ~name:"g.xml" person_doc in
+  let keys = Array.of_list (Store.fold_document store doc (fun acc k _ -> k :: acc) []) in
+  let n = Array.length keys in
+  let calls = 10_000 in
+  let before = Gc.minor_words () in
+  for i = 1 to calls do
+    ignore (Store.get store keys.(i mod n))
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d gets over %d records allocated %.0f minor words" calls n words)
+    true
+    (words <= (2.0 *. float_of_int calls) +. 16.0)
+
 let suite =
   ( "mass",
     [ Alcotest.test_case "load and counts" `Quick test_load_counts;
@@ -326,6 +342,8 @@ let suite =
       Alcotest.test_case "scoped counts" `Quick test_scoped_counts;
       Alcotest.test_case "counts are index-only" `Quick test_counts_are_index_only;
       Alcotest.test_case "string value" `Quick test_string_value;
+      Alcotest.test_case "get allocates only the option" `Quick
+        test_get_allocates_only_the_option;
       Alcotest.test_case "value cursor" `Quick test_value_cursor;
       Alcotest.test_case "value range cursor" `Quick test_value_range_cursor;
       Alcotest.test_case "multiple documents" `Quick test_multiple_documents;

@@ -228,6 +228,73 @@ let test_free_evict_write_parity () =
   let via_free = run (fun p a -> Pager.free p a) in
   Alcotest.(check int) "same write count either way" via_evict via_free
 
+(* ---- the array page table against the Hashtbl reference pager ---- *)
+
+type pager_op = PAlloc of int | PRead of int | PWrite of int * int | PFree of int | PFlush
+
+let print_pager_ops (pool, ops) =
+  Printf.sprintf "pool %d: %s" pool
+    (String.concat ";"
+       (List.map
+          (function
+            | PAlloc v -> Printf.sprintf "A%d" v
+            | PRead i -> Printf.sprintf "R%d" i
+            | PWrite (i, v) -> Printf.sprintf "W(%d,%d)" i v
+            | PFree i -> Printf.sprintf "F%d" i
+            | PFlush -> "S")
+          ops))
+
+(* ids range over negative, live, freed and never-allocated pages *)
+let gen_pager_ops =
+  let open QCheck.Gen in
+  let id = int_range (-2) 24 in
+  pair (int_range 1 8)
+    (list_size (int_range 1 300)
+       (frequency
+          [ (3, map (fun v -> PAlloc v) small_nat);
+            (5, map (fun i -> PRead i) id);
+            (2, map2 (fun i v -> PWrite (i, v)) id small_nat);
+            (2, map (fun i -> PFree i) id);
+            (1, return PFlush) ]))
+
+let prop_pager_matches_reference =
+  QCheck.Test.make ~name:"array page table matches the Hashtbl reference pager" ~count:300
+    (QCheck.make ~print:print_pager_ops gen_pager_ops) (fun (pool, ops) ->
+      let p = Pager.create ~pool_pages:pool () and r = Pager_ref.create ~pool_pages:pool () in
+      let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | PAlloc v -> outcome (fun () -> Pager.alloc p v) = outcome (fun () -> Pager_ref.alloc r v)
+            | PRead i -> outcome (fun () -> Pager.read p i) = outcome (fun () -> Pager_ref.read r i)
+            | PWrite (i, v) ->
+                outcome (fun () -> Pager.write p i v) = outcome (fun () -> Pager_ref.write r i v)
+            | PFree i -> outcome (fun () -> Pager.free p i) = outcome (fun () -> Pager_ref.free r i)
+            | PFlush ->
+                Pager.flush p;
+                Pager_ref.flush r;
+                true
+          in
+          same
+          && Pager.stats p = Pager_ref.stats r
+          && Pager.resident_count p = Pager_ref.resident_count r
+          && Pager.page_count p = Pager_ref.page_count r)
+        ops)
+
+let test_read_allocates_nothing () =
+  let p = Pager.create ~pool_pages:8 () in
+  let ids = Array.init 16 (fun i -> Pager.alloc p i) in
+  (* hits and misses alike: the Mem backend only flips residency bits *)
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    ignore (Pager.read p ids.(i land 15))
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "10k reads allocated %.0f minor words" words)
+    true (words <= 16.0)
+
 let suite =
   ( "storage",
     [ Alcotest.test_case "alloc and read" `Quick test_alloc_read;
@@ -244,4 +311,6 @@ let suite =
       Alcotest.test_case "histogram percentile interpolation" `Quick
         test_histogram_interpolation;
       Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
-      QCheck_alcotest.to_alcotest prop_pool_invariants ] )
+      Alcotest.test_case "read allocates nothing" `Quick test_read_allocates_nothing;
+      QCheck_alcotest.to_alcotest prop_pool_invariants;
+      QCheck_alcotest.to_alcotest prop_pager_matches_reference ] )
