@@ -903,8 +903,8 @@ let run_health file xmark_mb snapshot data_dir queries_file repeat churn churn_x
         (Vamana_service.Metrics.counter m "plan_drift_events")
         (Vamana_service.Metrics.counter m "adaptive_replans")
     end;
-    Printf.printf "%-40s %6s %7s %7s %6s %7s %7s %8s  %s\n" "query" "execs" "samples" "drift"
-      "stale" "replans" "epoch" "max_q" "worst op";
+    Printf.printf "%-48s %6s %7s %7s %6s %7s %7s %8s  %s\n" "shape {slot classes}" "execs"
+      "samples" "drift" "stale" "replans" "epoch" "max_q" "worst op";
     List.iter
       (fun (r : Vamana_service.Health.record) ->
         let last_q, worst =
@@ -914,8 +914,8 @@ let run_health file xmark_mb snapshot data_dir queries_file repeat churn churn_x
                s.Vamana_service.Health.s_worst_op)
           | [] -> ("       -", "-")
         in
-        Printf.printf "%-40s %6d %7d %7.3f %6s %7d %7d %s  %s\n"
-          (clip r.Vamana_service.Health.hr_query 40)
+        Printf.printf "%-48s %6d %7d %7.3f %6s %7d %7d %s  %s\n"
+          (clip r.Vamana_service.Health.hr_query 48)
           r.Vamana_service.Health.hr_executions r.Vamana_service.Health.hr_sampled
           r.Vamana_service.Health.hr_drift
           (if r.Vamana_service.Health.hr_stale then "yes" else "no")
@@ -976,7 +976,10 @@ let health_cmd =
     (Cmd.info "health"
        ~doc:"Serve a query batch with the always-on plan-health sampler and report per-plan \
              q-error trend, EWMA cost-drift score, and adaptive replans; $(b,--churn) \
-             mutates the store between rounds to force drift")
+             mutates the store between rounds to force drift.  A plan is one query shape \
+             (string literals shown as slots \\$1, \\$2, ...) and selectivity class: \
+             {\\$1:tc=4..7} reads 'slot 1's literal occurs 4 to 7 times', {\\$2=\\$1} \
+             'slot 2 repeats slot 1'")
     Term.(const run_health $ file_arg $ xmark_arg $ snapshot_arg $ data_dir_arg $ queries_arg
           $ repeat_arg $ churn_arg $ churn_xpath_arg $ churn_tag_arg $ sample_every_arg
           $ drift_threshold_arg $ json_arg $ quiet_arg)
@@ -1216,7 +1219,7 @@ let run_report data_dir top =
   List.iter
     (fun (e : F.query_record) ->
       if e.F.drift > 0.0 then
-        let shape = Vamana_service.Service.normalize e.F.source in
+        let shape = fst (Vamana_service.Service.shape e.F.source) in
         match Hashtbl.find_opt drifting shape with
         | Some (prev : F.query_record) when prev.F.qid >= e.F.qid -> ()
         | _ -> Hashtbl.replace drifting shape e)
@@ -1237,13 +1240,14 @@ let run_report data_dir top =
           (clip shape 44))
       drift_rows
   end;
-  (* per-shape percentiles: group by the service's cache-key
-     normalization, so "//person / address" and "//person/address"
-     aggregate as one shape *)
+  (* per-shape percentiles: group by the service's plan-cache shape, so
+     "//person / address" and "//person/address" aggregate as one
+     shape, and so do "//person[@id='p1']" and "//person[@id='p2']"
+     (shown as "//person[@id=$1]") *)
   let shapes = Hashtbl.create 32 in
   List.iter
     (fun (e : F.query_record) ->
-      let shape = Vamana_service.Service.normalize e.F.source in
+      let shape = fst (Vamana_service.Service.shape e.F.source) in
       let h =
         match Hashtbl.find_opt shapes shape with
         | Some h -> h
@@ -1287,7 +1291,9 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report"
        ~doc:"Aggregate the query flight recorder: top-N by latency and by I/O, per-shape \
-             latency percentiles, and the queries in flight when the process last died")
+             latency percentiles, and the queries in flight when the process last died.  A \
+             shape is a query with its string literals lifted into slots \\$1, \\$2, ...; the \
+             top-N sections show the texts as served")
     Term.(const run_report $ dir $ top_arg)
 
 let run_save file xmark_mb data_dir output =

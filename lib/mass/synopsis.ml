@@ -92,21 +92,20 @@ let build store =
 (* ---- per-store cache ---- *)
 
 (* Keyed by physical store identity; a handful of live stores at most
-   (tests, CLI, service), so a short list with LRU-ish trimming does. *)
-let cache : (Store.t * t) list ref = ref []
+   (tests, CLI, service), so a short list with LRU-ish trimming does.
+   Each entry is an ephemeron: the cache never keeps a store (or its
+   synopsis) alive once its owner drops it. *)
+let cache : (Store.t, t) Ephemeron.K1.t list ref = ref []
 let cache_limit = 8
 
 let for_store store =
-  match List.find_opt (fun (s, _) -> s == store) !cache with
-  | Some (_, syn) when syn.syn_epoch = Store.epoch store -> syn
+  match List.find_map (fun e -> Ephemeron.K1.query e store) !cache with
+  | Some syn when syn.syn_epoch = Store.epoch store -> syn
   | _ ->
       let syn = build store in
-      let rest = List.filter (fun (s, _) -> not (s == store)) !cache in
-      let rest =
-        if List.length rest >= cache_limit then List.filteri (fun i _ -> i < cache_limit - 1) rest
-        else rest
-      in
-      cache := (store, syn) :: rest;
+      let rest = List.filter (fun e -> Ephemeron.K1.query e store = None) !cache in
+      let rest = List.filteri (fun i _ -> i < cache_limit - 1) rest in
+      cache := Ephemeron.K1.make store syn :: rest;
       syn
 
 (* ---- schema instantiation ---- *)

@@ -23,7 +23,9 @@ val build : Store.t -> t
 (** Single-scan derivation at the store's current epoch. *)
 
 val for_store : Store.t -> t
-(** Cached {!build}, invalidated when {!Store.epoch} moves. *)
+(** Cached {!build}, invalidated when {!Store.epoch} moves.  The cache
+    holds its stores weakly: a store its owner dropped is collected with
+    its synopsis. *)
 
 val epoch : t -> int
 (** Store epoch the synopsis was derived at. *)

@@ -34,13 +34,17 @@ type t = {
   mutable h_sample_every : int;
   mutable h_threshold : float;
   h_alpha : float;
-  h_records : (string, record) Hashtbl.t;
+  h_records : (string, record) Lru.t;
   h_reservoir : int;
 }
 
 let default_sample_every = 16
 let default_drift_threshold = 1.0
 let default_alpha = 0.5
+
+(* a backstop: the service keys records by plan shape and class, so the
+   table normally holds far fewer *)
+let capacity = 512
 
 let create ?(sample_every = default_sample_every) ?(drift_threshold = default_drift_threshold)
     ?(alpha = default_alpha) ?(reservoir = 32) () =
@@ -50,7 +54,7 @@ let create ?(sample_every = default_sample_every) ?(drift_threshold = default_dr
     h_sample_every = sample_every;
     h_threshold = drift_threshold;
     h_alpha = alpha;
-    h_records = Hashtbl.create 64;
+    h_records = Lru.create ~capacity;
     h_reservoir = reservoir;
   }
 
@@ -60,7 +64,7 @@ let drift_threshold t = t.h_threshold
 let set_drift_threshold t x = t.h_threshold <- x
 
 let record t ~key ~query ~scope ~optimized =
-  match Hashtbl.find_opt t.h_records key with
+  match Lru.find t.h_records key with
   | Some r -> r
   | None ->
       let r =
@@ -83,13 +87,13 @@ let record t ~key ~query ~scope ~optimized =
           hr_next = 0;
         }
       in
-      Hashtbl.add t.h_records key r;
+      ignore (Lru.put t.h_records key r);
       r
 
-let find t key = Hashtbl.find_opt t.h_records key
+let find t key = Lru.find t.h_records key
 
 let records t =
-  Hashtbl.fold (fun _ r acc -> r :: acc) t.h_records []
+  List.map snd (Lru.to_list t.h_records)
   |> List.sort (fun a b ->
          match String.compare a.hr_query b.hr_query with
          | 0 -> String.compare a.hr_scope b.hr_scope

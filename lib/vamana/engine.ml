@@ -68,6 +68,7 @@ let rec union_branches (e : Xpath.Ast.expr) =
 
 type prepared = {
   source : string;
+  slots : string array;
   default_plans : Plan.op list;  (** one per union branch *)
   executed_plans : Plan.op list;
   outcomes : Optimizer.outcome list option;
@@ -76,6 +77,7 @@ type prepared = {
   prep_footprint : Footprint.t;
   prep_scope : Flex.t option;
   prep_epoch : int;
+  bound_epoch : int;
   prep_compile_time : float;
   prep_optimize_time : float;
   prep_spans : Profile.span list;
@@ -99,7 +101,7 @@ let iteration_spans (o : Optimizer.outcome) =
         s.Optimizer.duration)
     o.Optimizer.iteration_stats
 
-let prepare ?(optimize = true) store ~scope src =
+let prepare ?(optimize = true) ?(slots = [||]) store ~scope src =
   let parsed, parse_time =
     Obs.time (fun () ->
         match Xpath.Parser.parse_spanned src with
@@ -116,7 +118,9 @@ let prepare ?(optimize = true) store ~scope src =
       let prep_report, check_time =
         Obs.time (fun () ->
             let schema = Mass.Synopsis.schema (Mass.Synopsis.for_store store) ~scope in
-            Xpath.Typecheck.check ~schema ~spans ast)
+            (* slotted literals are parameters: the report must hold for
+               every value a later {!bind} substitutes *)
+            Xpath.Typecheck.check ~schema ~spans ~opaque_literals:(slots <> [||]) ast)
       in
       let compiled, compile_only_time =
         Obs.time (fun () ->
@@ -156,11 +160,68 @@ let prepare ?(optimize = true) store ~scope src =
           in
           let analyses = List.map (Analysis.analyze store ~scope) executed_plans in
           let prep_footprint = Footprint.of_plans executed_plans in
+          let epoch = Store.epoch store in
           Ok
-            { source = src; default_plans; executed_plans; outcomes; analyses; prep_report;
-              prep_footprint; prep_scope = scope; prep_epoch = Store.epoch store;
+            { source = src; slots; default_plans; executed_plans; outcomes; analyses; prep_report;
+              prep_footprint; prep_scope = scope; prep_epoch = epoch; bound_epoch = epoch;
               prep_compile_time = parse_time +. check_time +. compile_only_time;
               prep_optimize_time = optimize_time; prep_spans })
+
+(* the equality pattern of a slot vector: which slots repeat an earlier
+   slot's value.  A binding keeps a plan's pattern, so every literal
+   occurrence maps back to exactly one slot *)
+let same_pattern a b =
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let ok = ref true in
+  for i = 0 to n - 1 do
+    for j = 0 to i - 1 do
+      if String.equal a.(i) a.(j) <> String.equal b.(i) b.(j) then ok := false
+    done
+  done;
+  !ok
+
+let bind store p ~source values =
+  if values = p.slots then { p with source }
+  else begin
+    if not (same_pattern p.slots values) then
+      invalid_arg "Engine.bind: the values do not match the prepared slots";
+    let subst v =
+      let rec find i =
+        if i = Array.length p.slots then v
+        else if String.equal p.slots.(i) v then values.(i)
+        else find (i + 1)
+      in
+      find 0
+    in
+    let bound plans = List.map (Plan.map_literals subst) plans in
+    let executed_plans = bound p.executed_plans in
+    let scope = p.prep_scope in
+    { p with
+      source;
+      slots = values;
+      default_plans = bound p.default_plans;
+      executed_plans;
+      analyses = List.map (Analysis.analyze store ~scope) executed_plans;
+      prep_footprint = Footprint.of_plans executed_plans;
+      bound_epoch = Store.epoch store }
+  end
+
+let rec floor_log2 n = if n <= 1 then 0 else 1 + floor_log2 (n lsr 1)
+
+let slot_classes store ~scope values =
+  Array.mapi
+    (fun i v ->
+      let rec earlier j =
+        if j = i then None else if String.equal values.(j) v then Some j else earlier (j + 1)
+      in
+      match earlier 0 with
+      | Some j -> -1 - j
+      | None ->
+          let tc = Store.text_value_count store ?scope v in
+          if tc = 0 then 0 else 1 + floor_log2 tc)
+    values
 
 let emit_query_events store ~context p spans by_index_before =
   let doc_name =
@@ -206,7 +267,7 @@ let execute_prepared ?(profile = false) store ~context p =
      analyzed scope; otherwise re-derive (cheap, index-count probes) *)
   let analyses =
     if
-      p.prep_epoch = Store.epoch store
+      p.bound_epoch = Store.epoch store
       && Option.equal Flex.equal p.prep_scope (scope_of_context context)
     then p.analyses
     else
@@ -267,10 +328,15 @@ let execute_prepared ?(profile = false) store ~context p =
         (* a union profiles every branch into one context; the annotated
            tree reports the first branch (matching the plan fields) *)
         let plan = List.hd p.executed_plans in
+        let scope = scope_of_context context in
         let cost =
           match p.outcomes with
-          | Some (o :: _) -> o.Optimizer.cost
-          | Some [] | None -> Cost.estimate store ~scope:(scope_of_context context) plan
+          | Some (o :: _) when o.Optimizer.plan == plan -> o.Optimizer.cost
+          | Some _ ->
+              (* a bound plan: cost it for its own literals, with the
+                 statistics the optimizer used *)
+              Cost.estimate ~stats:(Cost.synopsis_statistics store) store ~scope plan
+          | None -> Cost.estimate store ~scope plan
         in
         Profile.make ctx ~cost ~spans ~total_time:execute_time plan)
       pctx

@@ -60,6 +60,16 @@ let union a b =
              cones = SS.union x.cones y.cones;
            })
 
+let subsumes a b =
+  match (a, b) with
+  | Top, _ -> true
+  | Atoms _, Top -> false
+  | Atoms x, Atoms y ->
+      SS.subset y.tags x.tags
+      && y.kinds land lnot x.kinds = 0
+      && SS.subset y.values x.values
+      && SS.subset y.cones x.cones
+
 (* {1 Collection} *)
 
 type acc = {

@@ -42,6 +42,10 @@ val is_empty : t -> bool
 
 val union : t -> t -> t
 
+val subsumes : t -> t -> bool
+(** [subsumes a b]: every atom of [b] is an atom of [a] (⊤ subsumes
+    everything), so every write delta intersecting [b] intersects [a]. *)
+
 val of_plan : Plan.op -> t
 (** Footprint of one compiled plan: every context-chain step, predicate
     sub-plan and generic-expression fallback contributes its atoms. *)

@@ -61,6 +61,32 @@ and iter_operand f = function
   | Path_operand sub -> iter_ops f sub
   | Literal _ | Number_operand _ -> ()
 
+let rec map_literals f op =
+  let kind =
+    match op.kind with
+    | Value_step (v, src) -> Value_step (f v, src)
+    | Step_generic s -> Step_generic (Xpath.Ast.map_step_literals f s)
+    | (Root | Step _) as k -> k
+  in
+  { op with
+    kind;
+    context = Option.map (map_literals f) op.context;
+    predicates = List.map (map_pred_literals f) op.predicates }
+
+and map_pred_literals f = function
+  | Exists sub -> Exists (map_literals f sub)
+  | Binary (id, cond, a, b) -> Binary (id, cond, map_operand_literals f a, map_operand_literals f b)
+  | And (a, b) -> And (map_pred_literals f a, map_pred_literals f b)
+  | Or (a, b) -> Or (map_pred_literals f a, map_pred_literals f b)
+  | Not p -> Not (map_pred_literals f p)
+  | Generic e -> Generic (Xpath.Ast.map_literals f e)
+  | Position _ as p -> p
+
+and map_operand_literals f = function
+  | Path_operand sub -> Path_operand (map_literals f sub)
+  | Literal (id, v) -> Literal (id, f v)
+  | Number_operand _ as o -> o
+
 let subtree_ops op =
   let acc = ref [] in
   iter_ops (fun o -> acc := o :: !acc) op;

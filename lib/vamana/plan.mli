@@ -72,6 +72,13 @@ val iter_ops : (op -> unit) -> op -> unit
 
 val subtree_ops : op -> op list
 
+val map_literals : (string -> string) -> op -> op
+(** Rewrite every string a query literal can land in: {!Literal}
+    operands, {!Value_step} values and the literals inside
+    {!Step_generic} / {!Generic} fallbacks.  Operator ids are kept, so
+    cost annotations keyed by id still apply.  This is how a prepared
+    plan is bound to new literal values ({!Engine.bind}). *)
+
 (** {1 Printing (paper Figure 4 notation)} *)
 
 val kind_to_string : op -> string

@@ -34,19 +34,28 @@ let ci_seed = 20260808
 let interference_bounds =
   { depth = 2; fanout = 2; tags = 2; texts = 1; max_nodes = 3; steps = 1 }
 
-type family = Rule_soundness | Analysis_soundness | Cost_invariants | Interference
+(* Committed bounds of the (document, query shape, literal pair) binding
+   sweep: every query with a string literal is prepared once per
+   literal of {!bind_domain} and each preparation is bound to every
+   literal, so the domain multiplies documents × shapes × literals².
+   EXPERIMENTS.md records the measured count and wall time. *)
+let binding_bounds = { depth = 3; fanout = 2; tags = 2; texts = 1; max_nodes = 4; steps = 1 }
+
+type family = Rule_soundness | Analysis_soundness | Cost_invariants | Interference | Binding
 
 let family_to_string = function
   | Rule_soundness -> "rule-soundness"
   | Analysis_soundness -> "analysis-soundness"
   | Cost_invariants -> "cost-invariants"
   | Interference -> "interference"
+  | Binding -> "binding"
 
 let family_of_string = function
   | "rule-soundness" -> Some Rule_soundness
   | "analysis-soundness" -> Some Analysis_soundness
   | "cost-invariants" -> Some Cost_invariants
   | "interference" -> Some Interference
+  | "binding" -> Some Binding
   | _ -> None
 
 type counterexample = {
@@ -72,6 +81,7 @@ type report = {
   rp_sites : int;
   rp_updates : int;
   rp_triples : int;
+  rp_bindings : int;
   rp_counterexamples : counterexample list;
   rp_wall : float;
 }
@@ -80,6 +90,13 @@ type report = {
 
 let tag_name i = String.make 1 (Char.chr (Char.code 'a' + i))
 let text_value i = String.make 1 (Char.chr (Char.code 'x' + i))
+
+(* The literals the binding family binds: the first text value (present
+   in every document that has text) and one no document contains, so
+   every preparation is bound across the TC = 0 class boundary in both
+   directions. *)
+let absent_literal = "w"
+let bind_domain = [ text_value 0; absent_literal ]
 
 let spec_nodes spec =
   let rec go = function
@@ -230,6 +247,7 @@ type subject = {
   sub_analyze : Store.t -> scope:Flex.t option -> Plan.op -> Analysis.t;
   sub_stats : Store.t -> Cost.statistics_source;
   sub_footprint : Plan.op -> Footprint.t;
+  sub_bind : Store.t -> Engine.prepared -> source:string -> string array -> Engine.prepared;
 }
 
 let subject_name s = s.sub_name
@@ -244,7 +262,8 @@ let real_subject =
     sub_rules = Rewrite.all_rules;
     sub_analyze = (fun store ~scope plan -> Analysis.analyze store ~scope plan);
     sub_stats = Cost.synopsis_statistics;
-    sub_footprint = Footprint.of_plan }
+    sub_footprint = Footprint.of_plan;
+    sub_bind = Engine.bind }
 
 (* -- mutant rules -- *)
 
@@ -367,7 +386,16 @@ let chain_off_by_one store =
           match f ~scope spec with Some (n, true) -> Some (n + 1, true) | r -> r)
         base.Cost.chain_out }
 
-let mutant ?rule ?(footprint = Footprint.of_plan) ~check ~desc name ~rules ~analyze ~stats =
+(* -- mutant bind: carries the representative binding's literal-dependent
+   verdicts (analyses, footprint) over to every binding, as if all
+   literals fell in the representative's class -- *)
+
+let bind_ignoring_class store (p : Engine.prepared) ~source values =
+  let b = Engine.bind store p ~source values in
+  { b with Engine.analyses = p.Engine.analyses; prep_footprint = p.Engine.prep_footprint }
+
+let mutant ?rule ?(footprint = Footprint.of_plan) ?(bind = Engine.bind) ~check ~desc name ~rules
+    ~analyze ~stats =
   { sub_name = name;
     sub_desc = desc;
     sub_expected_check = Some check;
@@ -375,7 +403,8 @@ let mutant ?rule ?(footprint = Footprint.of_plan) ~check ~desc name ~rules ~anal
     sub_rules = rules;
     sub_analyze = analyze;
     sub_stats = stats;
-    sub_footprint = footprint }
+    sub_footprint = footprint;
+    sub_bind = bind }
 
 let mutants =
   let real = real_subject in
@@ -408,7 +437,11 @@ let mutants =
     mutant "lying-footprint" ~check:"footprint-interference"
       ~desc:"footprint analysis that claims every plan reads nothing"
       ~rules:real.sub_rules ~analyze:real.sub_analyze ~stats:real.sub_stats
-      ~footprint:(fun _ -> Footprint.empty) ]
+      ~footprint:(fun _ -> Footprint.empty);
+    mutant "bind-ignores-class" ~check:"binding-footprint"
+      ~desc:"bind that reuses the representative literal's analyses and footprint for every literal"
+      ~rules:real.sub_rules ~analyze:real.sub_analyze ~stats:real.sub_stats
+      ~bind:bind_ignoring_class ]
 
 let find_mutant name = List.find_opt (fun s -> s.sub_name = name) mutants
 
@@ -799,6 +832,77 @@ let check_interference subject spec cq =
     None
     (enum_updates interference_bounds spec)
 
+(* ---- the binding family ----
+
+   The service prepares one plan per (query shape, selectivity class)
+   with the first literals it sees and binds later literals into it
+   ({!Engine.bind}).  The promise: a bound plan answers exactly what a
+   fresh preparation of the instantiated text answers, and its read
+   footprint covers that preparation's.  Each shape is prepared once per
+   literal of {!bind_domain} and every preparation is bound to every
+   literal — across class boundaries too, which the service never does,
+   so a verdict carried over from the representative literal (a TC = 0
+   emptiness proof, a value atom) shows up as a wrong answer.  When the
+   fresh preparation chose another plan, the footprint obligation is the
+   bound plan's own: a footprint belongs to a plan's structure. *)
+
+let literal_count (p : Ast.path) =
+  let n = ref 0 in
+  ignore (Ast.map_path_literals (fun v -> incr n; v) p);
+  !n
+
+(* every literal of the shape bound to [v]: one equality pattern, so
+   any two instantiations bind into each other *)
+let instantiate (p : Ast.path) v = Ast.path_to_string (Ast.map_path_literals (fun _ -> v) p)
+
+(* the number of (representative, literal) bindings checked — [Ok 0]
+   for a query without a literal *)
+let check_binding subject store ~doc_key (ast : Ast.path) =
+  let n = literal_count ast in
+  if n = 0 then Ok 0
+  else
+    let scope = Some doc_key and context = doc_key in
+    let slots v = Array.make n v in
+    let run p = (Engine.execute_prepared store ~context p).Engine.keys in
+    try
+      let prepared =
+        List.map
+          (fun v ->
+            match Engine.prepare ~slots:(slots v) store ~scope (instantiate ast v) with
+            | Ok p -> (v, p)
+            | Error e ->
+                fail Binding "binding-prepare"
+                  (Printf.sprintf "%s does not prepare: %s" (instantiate ast v) e))
+          bind_domain
+      in
+      List.iter
+        (fun (r, rep) ->
+          List.iter
+            (fun (v, fresh) ->
+              let bound = subject.sub_bind store rep ~source:(instantiate ast v) (slots v) in
+              let got = run bound and want = run fresh in
+              if not (List.equal Flex.equal got want) then
+                fail Binding "binding-node-set"
+                  (Printf.sprintf "prepared with '%s', bound to '%s': %s, fresh preparation %s" r
+                     v (keys_to_string got) (keys_to_string want));
+              let same_plan =
+                List.equal Plan.equal_structure bound.Engine.executed_plans
+                  fresh.Engine.executed_plans
+              in
+              let need =
+                if same_plan then fresh.Engine.prep_footprint
+                else Footprint.of_plans bound.Engine.executed_plans
+              in
+              if not (Footprint.subsumes bound.Engine.prep_footprint need) then
+                fail Binding "binding-footprint"
+                  (Printf.sprintf "prepared with '%s', bound to '%s': footprint %s misses %s" r v
+                     (Footprint.to_string bound.Engine.prep_footprint)
+                     (Footprint.to_string need)))
+            prepared)
+        prepared;
+      Ok (List.length prepared * List.length prepared)
+    with Fail e -> Error e
+
 (* ---- one-shot pair checking (replay, shrinking) ---- *)
 
 let check_spec_pair subject spec ast =
@@ -807,7 +911,10 @@ let check_spec_pair subject spec ast =
   let cq = compile_case subject ast in
   match check_one subject store ~doc_key:doc.Store.doc_key cq with
   | Some e -> Some e
-  | None -> check_interference subject spec cq
+  | None -> (
+      match check_binding subject store ~doc_key:doc.Store.doc_key ast with
+      | Error e -> Some e
+      | Ok _ -> check_interference subject spec cq)
 
 (* ---- shrinking ----
 
@@ -1069,6 +1176,22 @@ let prove ?(subject = real_subject) ?(random = 0) ?(random_bounds = ci_random_bo
       end
     done
   end;
+  (* binding sweep, at its own committed bounds *)
+  let n_bindings = ref 0 in
+  if !n_cxs < max_counterexamples then begin
+    let shapes = List.filter (fun q -> literal_count q > 0) (enum_queries binding_bounds) in
+    List.iteri
+      (fun i spec ->
+        let doc = Store.load store ~name:(Printf.sprintf "b%d" i) (Xml.Tree.document [ spec ]) in
+        List.iter
+          (fun ast ->
+            if !n_cxs < max_counterexamples then
+              match check_binding subject store ~doc_key:doc.Store.doc_key ast with
+              | Ok n -> n_bindings := !n_bindings + n
+              | Error e -> record spec ast e)
+          shapes)
+      (enum_documents binding_bounds)
+  end;
   (* interference sweep, always at its own committed bounds: the triple
      domain (documents × plan forms × updates) is independent of the
      pair sweep's [bounds] so the family's coverage does not silently
@@ -1121,6 +1244,7 @@ let prove ?(subject = real_subject) ?(random = 0) ?(random_bounds = ci_random_bo
     rp_sites = !sites;
     rp_updates = !n_updates;
     rp_triples = !n_triples;
+    rp_bindings = !n_bindings;
     rp_counterexamples = List.rev !cxs;
     rp_wall = Obs.clock () -. t0 }
 
@@ -1290,6 +1414,7 @@ let report_to_json r =
       ("rule_sites", Json.Int r.rp_sites);
       ("updates", Json.Int r.rp_updates);
       ("triples", Json.Int r.rp_triples);
+      ("bindings", Json.Int r.rp_bindings);
       ("counterexamples", Json.Arr (List.map counterexample_to_json r.rp_counterexamples));
       ("wall_seconds", Json.Float r.rp_wall) ]
 
@@ -1297,9 +1422,9 @@ let report_to_string r =
   let b = Buffer.create 256 in
   Printf.bprintf b
     "subject %s: %d documents × %d plans = %d pairs (%d randomized), %d rule sites, %d \
-     updates / %d interference triples, %.2fs\n"
+     updates / %d interference triples, %d literal bindings, %.2fs\n"
     r.rp_subject r.rp_docs r.rp_plans r.rp_pairs r.rp_random r.rp_sites r.rp_updates
-    r.rp_triples r.rp_wall;
+    r.rp_triples r.rp_bindings r.rp_wall;
   (match r.rp_seed with Some s -> Printf.bprintf b "random seed: %d (replay with --seed %d)\n" s s | None -> ());
   (match r.rp_counterexamples with
   | [] -> Buffer.add_string b "no counterexamples: every invariant holds on the bounded domain\n"

@@ -28,8 +28,21 @@
       cost-admitted rewrite whose totals were claimed exact raises the
       actual executed total.
 
-    A fourth family sweeps (document, plan, {e update}) triples at its
-    own committed {!interference_bounds}:
+    Two more families sweep at their own committed bounds.  The
+    {b binding} family covers parameterised plans
+    ({!binding_bounds}): every query with a string literal is prepared
+    ({!Engine.prepare} with slots) once per literal of a two-literal
+    domain — the first text value and one no document contains — and
+    each preparation is bound ({!Engine.bind}) to every literal; the
+    bound plan must return the same node set as a fresh preparation of
+    the instantiated text, and its footprint must subsume that
+    preparation's (the bound plan's own, when the fresh preparation
+    chose a different plan).  Binding across the TC = 0 class boundary
+    is what exposes a literal-dependent verdict carried over from the
+    representative.
+
+    The {b interference} family sweeps (document, plan, {e update})
+    triples at {!interference_bounds}:
 
     - {b interference}: apply each bounded store update (child insert
       over the tag alphabet, text- and attribute-carrying inserts,
@@ -69,6 +82,10 @@ val ci_random_bounds : bounds
 val ci_random_cases : int
 val ci_seed : int
 
+val binding_bounds : bounds
+(** Committed bounds of the (document, query shape, literal pair)
+    binding sweep; {!prove} always runs the family at these bounds. *)
+
 val interference_bounds : bounds
 (** Committed bounds of the (document, plan, update) interference
     sweep.  The triple domain multiplies documents × plans × updates,
@@ -79,7 +96,7 @@ val interference_bounds : bounds
 
 (** {1 Verdicts} *)
 
-type family = Rule_soundness | Analysis_soundness | Cost_invariants | Interference
+type family = Rule_soundness | Analysis_soundness | Cost_invariants | Interference | Binding
 
 val family_to_string : family -> string
 
@@ -109,6 +126,7 @@ type report = {
   rp_sites : int;  (** rule application sites exercised *)
   rp_updates : int;  (** store updates applied by the interference sweep *)
   rp_triples : int;  (** (document, plan form, update) interference triples checked *)
+  rp_bindings : int;  (** (document, shape, representative, literal) bindings checked *)
   rp_counterexamples : counterexample list;
   rp_wall : float;  (** seconds *)
 }
@@ -165,8 +183,9 @@ val prove :
 (** Exhaustively check every (document, plan) pair within [bounds],
     plus [random] randomized pairs drawn from [random_bounds] (default
     {!ci_random_bounds}) with the given [seed] (default {!ci_seed}),
-    then sweep the interference family over every (document, plan,
-    update) triple within {!interference_bounds}.  Stops collecting
+    then sweep the binding family over every (document, shape) pair
+    within {!binding_bounds} and the interference family over every
+    (document, plan, update) triple within {!interference_bounds}.  Stops collecting
     after [max_counterexamples] (default 5) distinct failures; each
     collected counterexample is shrunk to a local minimum.  The prover
     builds its own in-memory store; it never touches caller state. *)

@@ -67,6 +67,20 @@ and step = { axis : axis; test : node_test; predicates : expr list }
 let step ?(predicates = []) axis test = { axis; test; predicates }
 let path_expr p = Path p
 
+let rec map_literals f e =
+  match e with
+  | Literal s -> Literal (f s)
+  | Number _ | Var _ -> e
+  | Path p -> Path (map_path_literals f p)
+  | Binop (op, a, b) -> Binop (op, map_literals f a, map_literals f b)
+  | Neg a -> Neg (map_literals f a)
+  | Call (name, args) -> Call (name, List.map (map_literals f) args)
+  | Filter (a, preds) -> Filter (map_literals f a, List.map (map_literals f) preds)
+  | Located (a, p) -> Located (map_literals f a, map_path_literals f p)
+
+and map_step_literals f s = { s with predicates = List.map (map_literals f) s.predicates }
+and map_path_literals f p = { p with steps = List.map (map_step_literals f) p.steps }
+
 let node_test_to_string = function
   | Name_test s -> s
   | Wildcard -> "*"

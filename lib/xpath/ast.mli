@@ -77,6 +77,13 @@ val step : ?predicates:expr list -> axis -> node_test -> step
 val path_expr : path -> expr
 (** Wrap a path, simplifying [Path] application. *)
 
+val map_literals : (string -> string) -> expr -> expr
+(** Rewrite every string {!Literal} (processing-instruction targets are
+    node tests, not literals, and stay). *)
+
+val map_step_literals : (string -> string) -> step -> step
+val map_path_literals : (string -> string) -> path -> path
+
 (** {1 Printing}
 
     The printer emits unabbreviated syntax that reparses to an equal

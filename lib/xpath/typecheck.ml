@@ -395,6 +395,7 @@ type 'n ctx = {
   mutable note_steps : bool;
       (** record {!step_note}s — on for the main location path, off
           inside predicates so notes stay 1:1 with the compiled chain *)
+  opaque_literals : bool;  (** string literals are strings of unknown value *)
 }
 
 let diag ctx severity code span message = ctx.diags <- { severity; code; span; message } :: ctx.diags
@@ -513,7 +514,8 @@ and infer : 'n. 'n ctx -> ('n schema * 'n reach) option -> Ast.expr -> info =
             false
       in
       { i_ty = Nodeset; i_empty = empty; i_value = None }
-  | Ast.Literal s -> { i_ty = Str; i_empty = false; i_value = Some (VStr s) }
+  | Ast.Literal s ->
+      { i_ty = Str; i_empty = false; i_value = (if ctx.opaque_literals then None else Some (VStr s)) }
   | Ast.Number f -> { i_ty = Num; i_empty = false; i_value = Some (VNum f) }
   | Ast.Var _ -> { i_ty = Unknown; i_empty = false; i_value = None }
   | Ast.Neg sub ->
@@ -714,9 +716,10 @@ and infer_call : 'n. 'n ctx -> ('n schema * 'n reach) option -> Ast.expr -> stri
 
 let severity_rank = function Error -> 0 | Warning -> 1 | Info -> 2
 
-let check : type n. ?schema:n schema -> ?spans:Parser.spans -> Ast.expr -> report =
- fun ?schema ?spans e ->
-  let ctx = { spans; diags = []; steps = []; note_steps = true } in
+let check : type n.
+    ?schema:n schema -> ?spans:Parser.spans -> ?opaque_literals:bool -> Ast.expr -> report =
+ fun ?schema ?spans ?(opaque_literals = false) e ->
+  let ctx = { spans; diags = []; steps = []; note_steps = true; opaque_literals } in
   let env =
     match schema with None -> None | Some sch -> Some (sch, roots_reach sch)
   in

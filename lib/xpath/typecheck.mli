@@ -86,9 +86,13 @@ type report = {
       (** the whole expression is a provably empty node-set *)
 }
 
-val check : ?schema:'n schema -> ?spans:Parser.spans -> Ast.expr -> report
+val check :
+  ?schema:'n schema -> ?spans:Parser.spans -> ?opaque_literals:bool -> Ast.expr -> report
 (** Check one expression.  Without [schema], only type inference and
-    constant-folding diagnostics run.  Relative paths are interpreted as
+    constant-folding diagnostics run.  With [opaque_literals] (default
+    [false]) every string literal is a string of unknown value, so no
+    verdict depends on a literal's text: the report then holds for
+    every binding of a parameterised query.  Relative paths are interpreted as
     if evaluated with the document node as context (the engine's
     default); callers gating on {!report.rep_empty} must ensure that is
     the actual evaluation context. *)

@@ -40,7 +40,9 @@ let test_real_library_sound () =
   (* the interference family ran at its own committed bounds *)
   Alcotest.(check bool) "at least 10k interference triples" true
     (report.SC.rp_triples >= 10_000);
-  Alcotest.(check bool) "updates applied" true (report.SC.rp_updates > 0)
+  Alcotest.(check bool) "updates applied" true (report.SC.rp_updates > 0);
+  (* the binding family ran at its own committed bounds *)
+  Alcotest.(check bool) "literal bindings checked" true (report.SC.rp_bindings > 0)
 
 (* ---- the interference family ---- *)
 
@@ -113,7 +115,7 @@ let mutant_cases =
     SC.mutants
 
 let test_mutant_catalogue_complete () =
-  Alcotest.(check int) "eight seeded mutants" 8 (List.length SC.mutants);
+  Alcotest.(check int) "nine seeded mutants" 9 (List.length SC.mutants);
   List.iter
     (fun m ->
       Alcotest.(check bool)

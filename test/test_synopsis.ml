@@ -193,10 +193,28 @@ let test_xmark_verify () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
+(* the per-store cache holds stores weakly: a dropped store (and its
+   synopsis) is collectable, however many synopses were built for it *)
+let test_cache_does_not_retain_stores () =
+  let weak = Weak.create 1 in
+  (fun () ->
+    let store = Store.create () in
+    ignore (Store.load_string store ~name:"w.xml" "<r><a/><b/></r>");
+    ignore (Syn.for_store store);
+    Weak.set weak 0 (Some store))
+    ();
+  Gc.full_major ();
+  Alcotest.(check bool) "dropped store collected" false (Weak.check weak 0);
+  (* a live store still hits its cached synopsis *)
+  let store = Store.create () in
+  ignore (Store.load_string store ~name:"k.xml" "<r/>");
+  Alcotest.(check bool) "cache hit" true (Syn.for_store store == Syn.for_store store)
+
 let suite =
   ( "synopsis",
     [ Alcotest.test_case "build counts" `Quick test_build_counts;
       Alcotest.test_case "cache, epoch, verify" `Quick test_cache_and_verify;
+      Alcotest.test_case "cache does not retain stores" `Quick test_cache_does_not_retain_stores;
       Alcotest.test_case "scope and chain estimates" `Quick test_scope_and_chain;
       Alcotest.test_case "XMark: step counts vs execution" `Quick test_xmark_step_counts;
       Alcotest.test_case "XMark: emptiness vs execution" `Quick test_xmark_emptiness;

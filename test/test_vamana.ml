@@ -398,9 +398,52 @@ let test_nonstandard_positional () =
       Alcotest.(check int) "two odd positions" 2 (List.length r.Engine.keys)
   | Error e -> Alcotest.fail e
 
+(* Engine.bind: the plan is kept, every literal-dependent verdict is
+   re-derived for the new value *)
+let test_bind_rederives_verdicts () =
+  let store = Store.create () in
+  let doc = Store.load_string store ~name:"b.xml" "<r><a>x</a><a>y</a><b>x</b></r>" in
+  let scope = Some doc.Store.doc_key and context = doc.Store.doc_key in
+  let prep v =
+    match Engine.prepare ~slots:[| v |] store ~scope (Printf.sprintf "//a[text()='%s']" v) with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let absent = prep "w" in
+  Alcotest.(check bool) "absent literal is statically empty" true
+    (Analysis.statically_empty (List.hd absent.Engine.analyses));
+  let bound = Engine.bind store absent ~source:"//a[text()='x']" [| "x" |] in
+  Alcotest.(check bool) "plan kept" true
+    (List.equal Plan.equal_structure
+       (List.map (Plan.map_literals (fun _ -> "x")) absent.Engine.executed_plans)
+       bound.Engine.executed_plans);
+  Alcotest.(check bool) "emptiness proof not carried over" false
+    (Analysis.statically_empty (List.hd bound.Engine.analyses));
+  Alcotest.(check int) "bound plan answers for x" 1
+    (List.length (Engine.execute_prepared store ~context bound).Engine.keys);
+  Alcotest.(check bool) "footprint value atom is the bound literal's" true
+    (List.mem "value:x" (Footprint.atoms bound.Engine.prep_footprint)
+    && not (List.mem "value:w" (Footprint.atoms bound.Engine.prep_footprint)));
+  Alcotest.(check (array string)) "slots record the binding" [| "x" |] bound.Engine.slots;
+  Alcotest.(check (array int)) "classes: TC=1 and TC=0" [| 1; 0 |]
+    (Engine.slot_classes store ~scope [| "y"; "w" |]);
+  Alcotest.(check (array int)) "classes: TC=2 and a repeat of slot 1" [| 2; -1 |]
+    (Engine.slot_classes store ~scope [| "x"; "x" |]);
+  let two =
+    match
+      Engine.prepare ~slots:[| "x"; "x" |] store ~scope "//a[text()='x' or text()='x']"
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.check_raises "a binding must keep the equality pattern"
+    (Invalid_argument "Engine.bind: the values do not match the prepared slots") (fun () ->
+      ignore (Engine.bind store two ~source:"" [| "x"; "y" |]))
+
 let suite =
   ( "vamana",
     [ Alcotest.test_case "corpus: VQP matches evaluator" `Quick test_corpus_vqp;
+      Alcotest.test_case "bind re-derives literal verdicts" `Quick test_bind_rederives_verdicts;
       Alcotest.test_case "corpus: VQP-OPT matches evaluator" `Quick test_corpus_vqp_opt;
       Alcotest.test_case "paper queries select nodes" `Quick test_results_nonempty;
       Alcotest.test_case "clean-up merges self steps (Fig 5)" `Quick test_cleanup_fig5;
