@@ -629,9 +629,13 @@ let print_drift () =
     | Ok _ -> ()
     | Error e -> failwith e
   in
+  (* the record of the plan serving [q] now: a write that moves a
+     literal into another selectivity class hands the query to a fresh
+     plan (and record) of the new class *)
   let record q =
-    let norm = Svc.normalize q in
-    List.find (fun r -> r.H.hr_query = norm) (H.records (Svc.health service))
+    match Svc.health_of service ~context:doc.Store.doc_key q with
+    | Some r -> r
+    | None -> failwith ("no health record for " ^ q)
   in
   let last_q r =
     match List.rev (H.samples r) with s :: _ -> s.H.s_max_q | [] -> 1.0
@@ -641,7 +645,8 @@ let print_drift () =
   for _ = 1 to warm_rounds do
     List.iter (fun (_, q) -> run q) queries
   done;
-  let base = List.map (fun (l, q) -> (l, last_q (record q))) queries in
+  let before = List.map (fun (l, q) -> (l, record q)) queries in
+  let base = List.map (fun (l, r) -> (l, last_q r)) before in
   (* churn burst mid-serve: the staleness study's update workload — a
      Vermont population boom, and every watch deleted *)
   let people =
@@ -666,7 +671,7 @@ let print_drift () =
   (* keep serving; per plan, count executions from the churn burst to the
      drift event and to the transparent replan *)
   let churn_epoch = Store.epoch store in
-  let execs_at_churn = List.map (fun (l, q) -> (l, (record q).H.hr_executions)) queries in
+  let execs_at_churn = List.map (fun (l, r) -> (l, r.H.hr_executions)) before in
   let detect = ref [] and replan = ref [] in
   let note tbl l v = if not (List.mem_assoc l !tbl) then tbl := (l, v) :: !tbl in
   let max_rounds = 32 in
@@ -675,7 +680,10 @@ let print_drift () =
       (fun (l, q) ->
         run q;
         let r = record q in
-        let since = r.H.hr_executions - List.assoc l execs_at_churn in
+        let since =
+          if r == List.assoc l before then r.H.hr_executions - List.assoc l execs_at_churn
+          else r.H.hr_executions
+        in
         if r.H.hr_stale || r.H.hr_replans > 0 then note detect l since;
         if r.H.hr_replans > 0 then note replan l since)
       queries
@@ -693,6 +701,7 @@ let print_drift () =
     (fun (l, q) ->
       let r = record q in
       let post = last_q r in
+      let reclassed = r != List.assoc l before in
       let fmt_q v = if v >= 100.0 then Printf.sprintf "%8.0f" v else Printf.sprintf "%8.2f" v in
       Printf.printf "%-4s %-44s %s %s %12s %12s %s %s\n" l q
         (fmt_q (List.assoc l base))
@@ -702,12 +711,14 @@ let print_drift () =
         (fmt_q post)
         (if r.H.hr_replans > 0 && post <= 1.5 then "yes"
          else if r.H.hr_replans > 0 then "partial"
+         else if reclassed then "new class"
          else "n/a"))
     queries;
   let m = Svc.metrics service in
   Printf.printf
     "(sampled %d of %d executions; %d drift events, %d adaptive replans;\n\
-    \ detect/replan: plan executions between the churn burst and the event)\n"
+    \ detect/replan: plan executions between the churn burst and the event;\n\
+    \ new class: the burst moved a literal's TC class, so a fresh plan serves it)\n"
     (Vamana_service.Metrics.counter m "sampled_executions")
     (Vamana_service.Metrics.counter m "queries")
     (Vamana_service.Metrics.counter m "plan_drift_events")
