@@ -652,7 +652,7 @@ let synopsis_cmd =
   let check_arg =
     Arg.(value & flag
          & info [ "check" ]
-             ~doc:"Verify the cached synopsis against a fresh store scan and the per-kind \
+             ~doc:"Verify the store's synopsis against a fresh store scan and the per-kind \
                    record counters instead of dumping it; exits non-zero on any discrepancy.")
   in
   Cmd.v
@@ -1372,6 +1372,9 @@ let run_churn data_dir iters report =
     | Some k -> k
     | None -> failwith "document has no root element"
   in
+  (* materialised up front, so every write below must carry the synopsis
+     by its path-count delta; checked against a rescan at the end *)
+  ignore (Mass.Synopsis.for_store store);
   let inserted = Queue.create () in
   let i = ref 0 in
   while iters = 0 || !i < iters do
@@ -1389,6 +1392,11 @@ let run_churn data_dir iters report =
       flush stdout
     end
   done;
+  (match Mass.Synopsis.verify store (Mass.Synopsis.for_store store) with
+  | Ok () -> ()
+  | Error msg ->
+      Printf.eprintf "churn: maintained synopsis check FAILED: %s\n" msg;
+      exit 1);
   Store.close store;
   Printf.printf "churn: done, %d iterations, epoch %d\n" !i (Store.epoch store)
 
@@ -1408,7 +1416,9 @@ let churn_cmd =
     (Cmd.info "churn"
        ~doc:"Run a sustained insert/delete loop against a durable store — every epoch commits \
              through the WAL, so killing this process at any point must be recoverable \
-             ($(b,vamana fsck) verifies)")
+             ($(b,vamana fsck) verifies).  A run that ends after $(b,--iters) checks the \
+             path synopsis it maintained through every write against a rescan and exits 1 \
+             on a mismatch.")
     Term.(const run_churn $ dir $ iters $ report)
 
 (* ---- fsck: reopen, recover, and cross-check a durable store ---- *)

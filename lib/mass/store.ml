@@ -42,6 +42,19 @@ type write_delta = {
   wd_cones : string list;
 }
 
+(* DataGuide path-count tree (the data of {!Synopsis}): one node per
+   distinct root-to-tag path, with the exact number of records on it.
+   The store keeps its own tree exact by applying each mutation's
+   (tag path, count) delta in place. *)
+type path_node = {
+  syn_tag : string;
+  syn_parent : path_node option;
+  mutable syn_count : int;
+  mutable syn_children : path_node list;  (* sorted by tag *)
+}
+
+type path_synopsis = { ps_epoch : int; ps_docs : (Flex.t * path_node) list }
+
 type t = {
   doc_index : Record.t DocTree.t;
   name_index : unit TagTree.t;
@@ -64,6 +77,9 @@ type t = {
   order : int;
   disk : Storage.Disk.t option;  (** [Some] on the file backend *)
   mutable autocommit : bool;
+  mutable synopsis : path_synopsis option;
+      (** built by one scan when first asked for, then maintained by
+          every content mutation; process-local like [doc_epochs] *)
 }
 
 (* ---- page codecs (file backend) ---- *)
@@ -273,6 +289,7 @@ let create ?pool_pages ?(order = 64) ?backend () =
         order;
         disk = None;
         autocommit = true;
+        synopsis = None;
       }
   | File { dir } ->
       let disk = Storage.Disk.create ~dir in
@@ -299,6 +316,7 @@ let create ?pool_pages ?(order = 64) ?backend () =
           order;
           disk = Some disk;
           autocommit = true;
+          synopsis = None;
         }
       in
       (* Checkpoint, not commit: the manifest [Disk.create] just wrote is
@@ -381,6 +399,7 @@ let open_file ?pool_pages ~dir () =
       order;
       disk = Some disk;
       autocommit = true;
+      synopsis = None;
     }
   with Storage.Binio.Short -> fail "truncated store metadata"
 
@@ -503,6 +522,45 @@ let remove_record t (r : Record.t) =
   | Some v -> ignore (TagTree.delete t.value_index (v, r.key))
   | None -> ()
 
+(* ---- path synopsis tree ---- *)
+
+let path_root () = { syn_tag = "#document"; syn_parent = None; syn_count = 0; syn_children = [] }
+
+(* the child of [n] labelled [tag], linked in tag order if absent *)
+let path_child n tag =
+  match List.find_opt (fun c -> String.equal c.syn_tag tag) n.syn_children with
+  | Some c -> c
+  | None ->
+      let c = { syn_tag = tag; syn_parent = Some n; syn_count = 0; syn_children = [] } in
+      n.syn_children <-
+        List.merge (fun a b -> String.compare a.syn_tag b.syn_tag) [ c ] n.syn_children;
+      c
+
+(* Count records given in document order: [count depth tag] adds [delta]
+   to the path node of a record at [depth] (the first record, at
+   [depth0], is [top]) and returns that node.  Parents precede children,
+   so a depth-indexed stack suffices. *)
+let path_counter top depth0 delta =
+  let stack = ref (Array.make 16 top) in
+  fun depth tag ->
+    let i = depth - depth0 in
+    if i >= Array.length !stack then begin
+      let bigger = Array.make (2 * i) top in
+      Array.blit !stack 0 bigger 0 (Array.length !stack);
+      stack := bigger
+    end;
+    let n = if i = 0 then top else path_child !stack.(i - 1) tag in
+    n.syn_count <- n.syn_count + delta;
+    !stack.(i) <- n;
+    n
+
+(* the maintained tree's root of [doc], when the tree is materialised *)
+let synopsis_root t doc =
+  match (t.synopsis, doc) with
+  | Some s, Some d ->
+      List.find_map (fun (k, root) -> if Flex.equal k d.doc_key then Some root else None) s.ps_docs
+  | _ -> None
+
 (* ---- document loading ---- *)
 
 let bump doc (kind : Record.kind) n =
@@ -520,12 +578,8 @@ let doc_of_key t key =
     let root = Flex.prefix key 1 in
     List.find_opt (fun d -> Flex.equal d.doc_key root) t.docs
 
-let load t ~name tree =
-  (* On the file backend a load is one bulk ingest: pages stream to the data
-     file without WAL traffic and the closing checkpoint makes the whole
-     document durable at once (a crash or exception mid-load recovers to
-     the pre-load state). *)
-  bulk_ingest t @@ fun () ->
+(* [count] tallies each record in the new document's path tree *)
+let load_records t ~name tree ~count =
   let last_component =
     List.fold_left
       (fun acc d ->
@@ -558,7 +612,8 @@ let load t ~name tree =
   let d_tags = Hashtbl.create 32 and d_values = Hashtbl.create 32 in
   let note (r : Record.t) =
     acc_put d_top d_tags (tag_of r);
-    match indexed_value r with Some v -> acc_put d_top d_values v | None -> ()
+    (match indexed_value r with Some v -> acc_put d_top d_values v | None -> ());
+    match count with Some count -> ignore (count (Flex.depth r.key) (tag_of r)) | None -> ()
   in
   let doc_record = { Record.key = doc_key; kind = Record.Document; name; value = "" } in
   insert_record t doc_record;
@@ -595,6 +650,21 @@ let load t ~name tree =
      node's string-value changes *)
   record_delta t ~doc:(Some doc) ~top:!d_top ~tags:(acc_keys d_tags)
     ~values:(acc_keys d_values) ~cones:[] ();
+  doc
+
+let load t ~name tree =
+  (* On the file backend a load is one bulk ingest: pages stream to the data
+     file without WAL traffic and the closing checkpoint makes the whole
+     document durable at once (a crash or exception mid-load recovers to
+     the pre-load state).  A maintained path synopsis gets the document's
+     tree, built during the record walk, only once the load has succeeded. *)
+  let root = Option.map (fun _ -> path_root ()) t.synopsis in
+  let count = Option.map (fun root -> path_counter root 1 1) root in
+  let doc = bulk_ingest t (fun () -> load_records t ~name tree ~count) in
+  (match (t.synopsis, root) with
+  | Some s, Some root ->
+      t.synopsis <- Some { s with ps_docs = s.ps_docs @ [ (doc.doc_key, root) ] }
+  | _ -> ());
   doc
 
 let load_string t ~name src = load t ~name (Xml.Parser.parse src)
@@ -996,6 +1066,27 @@ let fold_document t doc f init =
 
 let iter_document t doc f = fold_document t doc (fun () k r -> f k r) ()
 
+(* ---- path synopsis ---- *)
+
+let scan_path_synopsis t =
+  let scan doc =
+    let root = path_root () in
+    let count = path_counter root 1 1 in
+    iter_document t doc (fun key r -> ignore (count (Flex.depth key) (tag_of r)));
+    (doc.doc_key, root)
+  in
+  { ps_epoch = t.epoch; ps_docs = List.map scan t.docs }
+
+let path_synopsis t =
+  match t.synopsis with
+  | Some s when s.ps_epoch = t.epoch -> s
+  | stale ->
+      let s =
+        match stale with Some s -> { s with ps_epoch = t.epoch } | None -> scan_path_synopsis t
+      in
+      t.synopsis <- Some s;
+      s
+
 (* ---- dynamic updates ---- *)
 
 let child_components t parent =
@@ -1008,21 +1099,25 @@ let child_components t parent =
   in
   go []
 
-(* Element tags on the ancestor chain of [key] (plus the document
-   string-value): the nodes whose XPath string-value changes when a text
-   node appears or disappears at or below [key]. *)
-let ancestor_cones t key =
+(* {!tag_of} spellings of the records from the document record down to
+   [key] (included): its path in the synopsis, "#document" first. *)
+let tag_path t key =
   let rec go acc k =
     if Flex.depth k = 0 then acc
     else
-      let acc =
-        match get t k with
-        | Some { Record.kind = Record.Element; name; _ } -> name :: acc
-        | _ -> acc
-      in
+      let acc = match get t k with Some r -> tag_of r :: acc | None -> acc in
       match Flex.parent k with Some p -> go acc p | None -> acc
   in
-  "#document" :: go [] key
+  go [] key
+
+(* Element tags on a tag path (plus the document string-value): the nodes
+   whose XPath string-value changes when a text node appears or
+   disappears below the path's end. *)
+let path_cones path =
+  "#document" :: List.filter (fun tag -> tag.[0] <> '#' && tag.[0] <> '@') path
+
+(* the synopsis node of a tag path under its document's root *)
+let path_node root path = List.fold_left path_child root (List.tl path)
 
 let insert_element t ~parent ?after name attrs text =
   (match get t parent with
@@ -1046,9 +1141,22 @@ let insert_element t ~parent ?after name attrs text =
   let comp = Flex.between lo hi in
   let key = Flex.child parent comp in
   let doc = doc_of_key t key in
+  let parent_path = lazy (tag_path t parent) in
+  (* the new element's synopsis node; its attributes and text hang below *)
+  let elem_node =
+    Option.map
+      (fun root -> path_child (path_node root (Lazy.force parent_path)) name)
+      (synopsis_root t doc)
+  in
   let add k kind nm value =
-    insert_record t { Record.key = k; kind; name = nm; value };
-    match doc with Some d -> bump d kind 1 | None -> ()
+    let r = { Record.key = k; kind; name = nm; value } in
+    insert_record t r;
+    (match doc with Some d -> bump d kind 1 | None -> ());
+    match elem_node with
+    | Some e ->
+        let n = if kind = Record.Element then e else path_child e (tag_of r) in
+        n.syn_count <- n.syn_count + 1
+    | None -> ()
   in
   add key Record.Element name "";
   let inner = Flex.sequence (List.length attrs + if text = None then 0 else 1) in
@@ -1066,7 +1174,7 @@ let insert_element t ~parent ?after name attrs text =
   let values = List.map snd attrs @ Option.to_list text in
   (* a text child changes the string-value of every ancestor element (the
      new element's own string-value is covered by its tag atom) *)
-  let cones = if text = None then [] else ancestor_cones t parent in
+  let cones = if text = None then [] else path_cones (Lazy.force parent_path) in
   record_delta t ~doc ~tags ~values ~cones ();
   key
 
@@ -1074,7 +1182,10 @@ let delete_subtree t key =
   let lo, hi = Flex.subtree_range key in
   let doc = doc_of_key t key in
   (* the ancestor chain must be resolved before the subtree disappears *)
-  let ancestors = ancestor_cones t key in
+  let path = tag_path t key in
+  let syn = synopsis_root t doc in
+  (* (depth, tag) of the removed records, in document order *)
+  let removed = ref [] in
   (* collect first: deleting invalidates cursors *)
   let scan = doc_scan t ~lo ~hi ~filter:(fun _ _ -> true) in
   let rec collect acc =
@@ -1100,15 +1211,35 @@ let delete_subtree t key =
           | Record.Element -> acc_put d_top d_elems r.Record.name
           | _ -> ());
           remove_record t r;
-          (match doc with Some d -> bump d r.Record.kind (-1) | None -> ())
+          (match doc with Some d -> bump d r.Record.kind (-1) | None -> ());
+          if Option.is_some syn then removed := (Flex.depth k, tag_of r) :: !removed
       | None -> ())
     keys;
+  (match (syn, !removed) with
+  | Some root, (depth0, _) :: _ ->
+      (* subtract one per record; a path left at 0 is unlinked with its
+         (all-zero) subtree, so the tree stays equal to a fresh scan.  A
+         document root stays until [remove_document] drops it. *)
+      let count = path_counter (path_node root path) depth0 (-1) in
+      let emptied = ref [] in
+      List.iter
+        (fun (depth, tag) ->
+          let n = count depth tag in
+          if n.syn_count = 0 then emptied := n :: !emptied)
+        !removed;
+      List.iter
+        (fun n ->
+          match n.syn_parent with
+          | Some p -> p.syn_children <- List.filter (fun c -> c != n) p.syn_children
+          | None -> ())
+        !emptied
+  | _ -> ());
   bump_epoch t;
   note_doc_mutation t doc;
   (* deleted text changed the string-value of its ancestors: any element
      inside the subtree (a sound over-approximation of the text's actual
      ancestors there) plus the chain above the subtree root *)
-  let cones = if !has_text then ancestors @ acc_keys d_elems else [] in
+  let cones = if !has_text then path_cones path @ acc_keys d_elems else [] in
   record_delta t ~doc ~top:!d_top ~tags:(acc_keys d_tags) ~values:(acc_keys d_values)
     ~cones ();
   n
@@ -1121,6 +1252,11 @@ let remove_document t doc =
     ~finally:(fun () -> t.autocommit <- saved)
     (fun () -> ignore (delete_subtree t doc.doc_key));
   t.docs <- List.filter (fun d -> d.doc_id <> doc.doc_id) t.docs;
+  t.synopsis <-
+    Option.map
+      (fun s ->
+        { s with ps_docs = List.filter (fun (k, _) -> not (Flex.equal k doc.doc_key)) s.ps_docs })
+      t.synopsis;
   Hashtbl.remove t.doc_epochs doc.doc_id;
   maybe_commit t
 

@@ -251,6 +251,39 @@ val fold_document : t -> doc -> ('a -> Flex.t -> Record.t -> 'a) -> 'a -> 'a
 
 val iter_document : t -> doc -> (Flex.t -> Record.t -> unit) -> unit
 
+(** {1 Path synopsis}
+
+    The DataGuide path-count tree behind {!Synopsis}: one node per
+    distinct root-to-tag path of a document, labelled with {!tag_of}
+    spellings, with the exact number of records on that path.  A store
+    handle owns at most one tree.  The first {!path_synopsis} call builds
+    it by one document-order scan; from then on {!load},
+    {!insert_element}, {!delete_subtree} and {!remove_document} apply
+    their own (tag path, count) delta to it in place, so it never needs
+    a rescan.  The types are private: only the store changes the tree. *)
+
+type path_node = private {
+  syn_tag : string;
+  syn_parent : path_node option;
+  mutable syn_count : int;
+  mutable syn_children : path_node list;  (** sorted by tag *)
+}
+
+type path_synopsis = private {
+  ps_epoch : int;  (** {!epoch} at which this view was taken *)
+  ps_docs : (Flex.t * path_node) list;  (** document key → ["#document"] node *)
+}
+
+val path_synopsis : t -> path_synopsis
+(** A view of the maintained tree stamped with the current epoch — the
+    same value until the epoch moves.  Views share the live nodes: a
+    view taken before a mutation sees the new counts but keeps its old
+    epoch, by which {!Synopsis.verify} reports it stale. *)
+
+val scan_path_synopsis : t -> path_synopsis
+(** A fresh tree from one scan of every document; the maintained one is
+    left alone.  The reference {!Synopsis.verify} compares against. *)
+
 (** {1 Dynamic updates}
 
     Ordered insertion between siblings via {!Flex.between} — exercising

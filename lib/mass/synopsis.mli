@@ -3,32 +3,28 @@
     One node per distinct root-to-tag path with the exact number of
     records on that path, labels spelled as {!Store.tag_of} spells them
     (element name, ["@name"], ["#text"], ["#comment"], ["#pi"],
-    ["#document"]).  Derived from the store in a single document-order
-    scan; {!for_store} caches per store and rebuilds when the store
-    epoch moves, like the engine's plan caches.
+    ["#document"]).  The tree is the store's own
+    ({!Store.path_synopsis}): one document-order scan builds it the first
+    time a store handle is asked for it, and from then on every content
+    mutation applies its path-count delta in place, so writes never
+    cause a rescan.  A [t] is a view of that tree stamped with the store
+    epoch it was taken at.
 
     All axis/cardinality reasoning over the synopsis lives in
     {!Xpath.Typecheck}; {!schema} is the bridge. *)
 
-type node = {
-  syn_tag : string;
-  syn_parent : node option;
-  mutable syn_count : int;
-  mutable syn_children : node list;  (** sorted by tag *)
-}
+type node = Store.path_node
 
 type t
 
-val build : Store.t -> t
-(** Single-scan derivation at the store's current epoch. *)
-
 val for_store : Store.t -> t
-(** Cached {!build}, invalidated when {!Store.epoch} moves.  The cache
-    holds its stores weakly: a store its owner dropped is collected with
-    its synopsis. *)
+(** The store's maintained synopsis, stamped with the current
+    {!Store.epoch}: the same view until the epoch moves.  The first call
+    on a store handle scans every document; later calls cost nothing.
+    The synopsis lives and dies with its store. *)
 
 val epoch : t -> int
-(** Store epoch the synopsis was derived at. *)
+(** Store epoch the view was taken at. *)
 
 val paths : t -> int
 (** Number of distinct root-to-tag paths (synopsis nodes). *)
@@ -54,7 +50,7 @@ val fold : t -> init:'a -> f:('a -> path:string list -> count:int -> 'a) -> 'a
     ["#document"]. *)
 
 val verify : Store.t -> t -> (unit, string) result
-(** Consistency check: the synopsis must match a fresh store scan
-    node-for-node, and its per-kind totals must equal the store's
-    per-document record counters.  [Error] carries the first
-    discrepancy. *)
+(** Consistency check: the view must be at the store's current epoch
+    (an older view is stale), match a fresh store scan node-for-node, and
+    its per-kind totals must equal the store's per-document record
+    counters.  [Error] carries the first discrepancy. *)

@@ -59,9 +59,10 @@ val live_statistics : Mass.Store.t -> statistics_source
 val synopsis_statistics : Mass.Store.t -> statistics_source
 (** {!live_statistics} plus {!Mass.Synopsis} chain refinement: exact
     multi-step IN/OUT where the synopsis walk stays exact, tightened
-    bounds elsewhere.  The synopsis is the store-cached one
-    ({!Mass.Synopsis.for_store}), so the first estimate after a store
-    mutation pays one rebuild scan. *)
+    bounds elsewhere.  The synopsis is the store's maintained one
+    ({!Mass.Synopsis.for_store}): built by one scan on first use per
+    store handle, then kept exact by each mutation's path-count delta, so
+    an estimate after a write costs no rescan. *)
 
 val estimate :
   ?stats:statistics_source -> Mass.Store.t -> scope:Flex.t option -> Plan.op -> costed

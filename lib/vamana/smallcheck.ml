@@ -782,12 +782,26 @@ let enum_updates (b : bounds) spec =
 (* Fresh copy of [spec], [update] applied, plus the write deltas the
    update recorded (captured by epoch so the load's own delta is
    excluded).  A fresh store's ring always covers [e0], so the
-   [write_deltas] coverage fallback cannot fire here. *)
+   [write_deltas] coverage fallback cannot fire here.  The synopsis is
+   materialised first, so the update must carry it by its path-count
+   delta: the result has to verify against a rescan, from the same root
+   node (a rescan would have replaced it).
+   @raise Fail on a synopsis-delta failure. *)
 let apply_update spec update =
   let store = Store.create ~backend:Store.Mem () in
   let doc = Store.load store ~name:"i" (Xml.Tree.document [ spec ]) in
   let e0 = Store.epoch store in
+  let root () =
+    Mass.Synopsis.roots (Mass.Synopsis.for_store store) ~scope:(Some doc.Store.doc_key)
+  in
+  let root0 = root () in
   update.u_apply store doc;
+  (match Mass.Synopsis.verify store (Mass.Synopsis.for_store store) with
+  | Error e -> fail Interference "synopsis-delta" (Printf.sprintf "%s: %s" update.u_desc e)
+  | Ok () ->
+      if not (List.equal ( == ) (root ()) root0) then
+        fail Interference "synopsis-delta"
+          (Printf.sprintf "%s: the synopsis was rebuilt, not updated" update.u_desc));
   let deltas = Option.value ~default:[] (Store.write_deltas store ~since:e0) in
   (store, doc, deltas)
 
@@ -819,16 +833,18 @@ let check_interference subject spec cq =
     (fun acc u ->
       match acc with
       | Some _ -> acc
-      | None ->
-          let store1, doc1, deltas = apply_update spec u in
-          List.fold_left2
-            (fun acc plan rb ->
-              match acc with
-              | Some _ -> acc
-              | None ->
-                  let ra = Exec.run store1 ~context:doc1.Store.doc_key plan in
-                  interference_error subject u deltas ~before:rb ~after:ra plan)
-            None plans before)
+      | None -> (
+          match apply_update spec u with
+          | exception Fail e -> Some e
+          | store1, doc1, deltas ->
+              List.fold_left2
+                (fun acc plan rb ->
+                  match acc with
+                  | Some _ -> acc
+                  | None ->
+                      let ra = Exec.run store1 ~context:doc1.Store.doc_key plan in
+                      interference_error subject u deltas ~before:rb ~after:ra plan)
+                None plans before))
     None
     (enum_updates interference_bounds spec)
 
@@ -1213,22 +1229,24 @@ let prove ?(subject = real_subject) ?(random = 0) ?(random_bounds = ci_random_bo
             (fun u ->
               if !n_cxs < max_counterexamples then begin
                 incr n_updates;
-                let store1, doc1, deltas = apply_update spec u in
-                List.iter2
-                  (fun cq rbs ->
+                match apply_update spec u with
+                | exception Fail e -> record spec (List.hd i_cqs).q_ast e
+                | store1, doc1, deltas ->
                     List.iter2
-                      (fun plan rb ->
-                        if !n_cxs < max_counterexamples then begin
-                          incr n_triples;
-                          let ra = Exec.run store1 ~context:doc1.Store.doc_key plan in
-                          match
-                            interference_error subject u deltas ~before:rb ~after:ra plan
-                          with
-                          | None -> ()
-                          | Some e -> record spec cq.q_ast e
-                        end)
-                      (case_plans cq) rbs)
-                  i_cqs before
+                      (fun cq rbs ->
+                        List.iter2
+                          (fun plan rb ->
+                            if !n_cxs < max_counterexamples then begin
+                              incr n_triples;
+                              let ra = Exec.run store1 ~context:doc1.Store.doc_key plan in
+                              match
+                                interference_error subject u deltas ~before:rb ~after:ra plan
+                              with
+                              | None -> ()
+                              | Some e -> record spec cq.q_ast e
+                            end)
+                          (case_plans cq) rbs)
+                      i_cqs before
               end)
             (enum_updates interference_bounds spec)
         end)

@@ -51,7 +51,10 @@
       update's {!Mass.Store.write_delta} must intersect the plan's
       {!Footprint}.  A violation is exactly the case where
       footprint-based result-cache invalidation would serve a stale
-      answer.
+      answer.  The copy's path synopsis is materialised before the
+      update; afterwards it must pass {!Mass.Synopsis.verify} and keep
+      its document root node (check [synopsis-delta]): the update
+      carried it by its path-count delta, without a rescan.
 
     On failure the prover shrinks the (document, query) pair — dropping
     document subtrees, truncating plan steps, shrinking the tag

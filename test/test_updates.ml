@@ -170,6 +170,97 @@ let prop_updates_consistent =
       && List.equal Flex.equal expected children
       && Store.subtree_size store people = 1 + (2 * List.length !live))
 
+(* The maintained path synopsis under a random mix of every content
+   mutation: materialised once up front, it must verify against a
+   rescan after each step, and the document roots it held must be the
+   same nodes throughout — a rescan would have replaced them. *)
+type syn_op =
+  | S_insert of int * int * bool * bool  (** parent pick, tag, attributes, text *)
+  | S_delete_inserted of int
+  | S_delete_original of int
+  | S_load
+  | S_remove
+
+let syn_tags = [| "person"; "name"; "address"; "t0"; "t1" |]
+
+let gen_syn_ops =
+  let open QCheck.Gen in
+  list_size (int_range 1 40)
+    (frequency
+       [ (5, map (fun (((p, t), a), x) -> S_insert (p, t, a, x))
+               (pair (pair (pair (int_range 0 99) (int_range 0 4)) bool) bool));
+         (2, map (fun i -> S_delete_inserted i) (int_range 0 99));
+         (1, map (fun i -> S_delete_original i) (int_range 0 99));
+         (1, return S_load);
+         (1, return S_remove) ])
+
+let print_syn_ops ops =
+  String.concat ";"
+    (List.map
+       (function
+         | S_insert (p, t, a, x) -> Printf.sprintf "I(%d,%s,%b,%b)" p syn_tags.(t) a x
+         | S_delete_inserted i -> Printf.sprintf "DI%d" i
+         | S_delete_original i -> Printf.sprintf "DO%d" i
+         | S_load -> "L"
+         | S_remove -> "R")
+       ops)
+
+let syn_doc =
+  "<site><people><person id=\"p0\"><name>Ann</name><address><city>Oslo</city></address>\
+   </person><person id=\"p1\"><name>Bo</name></person></people><regions><item/></regions></site>"
+
+let elements store (doc : Store.doc) =
+  let c = Store.axis_cursor store Xpath.Ast.Descendant Xpath.Ast.Wildcard doc.Store.doc_key in
+  let rec go acc = match c () with Some k -> go (k :: acc) | None -> List.rev acc in
+  go []
+
+let prop_synopsis_maintained =
+  QCheck.Test.make ~name:"maintained synopsis equals a rescan after every mutation" ~count:100
+    (QCheck.make ~print:print_syn_ops gen_syn_ops) (fun ops ->
+      let store = Store.create () in
+      let doc = Store.load_string store ~name:"a.xml" syn_doc in
+      let other = Store.load_string store ~name:"u.xml" "<u><v w=\"1\">x</v></u>" in
+      let module Syn = Mass.Synopsis in
+      let root (d : Store.doc) = Syn.roots (Syn.for_store store) ~scope:(Some d.Store.doc_key) in
+      let root_a = root doc and root_u = root other in
+      let originals = elements store doc in
+      let inserted = ref [] and loaded = ref [] in
+      let pick l i = List.nth l (i mod List.length l) in
+      let alive k = Store.get store k <> None in
+      let step op =
+        match op with
+        | S_insert (p, t, a, x) ->
+            let parent = pick (doc.Store.doc_key :: elements store doc) p in
+            let attrs = if a then [ ("id", "v"); ("k", "w") ] else [] in
+            let text = if x then Some "txt" else None in
+            inserted := Store.insert_element store ~parent syn_tags.(t) attrs text :: !inserted
+        | S_delete_inserted i -> (
+            match List.filter alive !inserted with
+            | [] -> ()
+            | l -> ignore (Store.delete_subtree store (pick l i)))
+        | S_delete_original i -> (
+            match List.filter alive originals with
+            | [] -> ()
+            | l -> ignore (Store.delete_subtree store (pick l i)))
+        | S_load ->
+            let name = Printf.sprintf "c%d.xml" (List.length !loaded) in
+            loaded := Store.load_string store ~name "<site><people><person/></people></site>" :: !loaded
+        | S_remove -> (
+            match !loaded with
+            | d :: rest ->
+                Store.remove_document store d;
+                loaded := rest
+            | [] -> ())
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          (match Syn.verify store (Syn.for_store store) with
+          | Ok () -> ()
+          | Error e -> QCheck.Test.fail_report e);
+          List.equal ( == ) (root doc) root_a && List.equal ( == ) (root other) root_u)
+        ops)
+
 let suite =
   ( "updates",
     [ Alcotest.test_case "counts track inserts" `Quick test_counts_track_inserts;
@@ -177,4 +268,5 @@ let suite =
       Alcotest.test_case "text counts track updates" `Quick test_tc_tracks_updates;
       Alcotest.test_case "cost estimates react to updates" `Quick test_cost_reacts_to_updates;
       Alcotest.test_case "queries after updates" `Quick test_queries_after_updates;
-      QCheck_alcotest.to_alcotest prop_updates_consistent ] )
+      QCheck_alcotest.to_alcotest prop_updates_consistent;
+      QCheck_alcotest.to_alcotest prop_synopsis_maintained ] )
