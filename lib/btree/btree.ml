@@ -12,7 +12,28 @@ module Make (K : KEY) = struct
   type inner = { seps : K.t array; children : int array; counts : int array }
   type 'v node = Leaf of 'v leaf | Node of inner
 
-  type 'v t = { pager : 'v node Storage.Pager.t; mutable root : int; order : int }
+  (* A finger remembers a leaf that a root descent reached: its page, the
+     two separators that bound it on its root path (the last one left of
+     the path and the first one right of it; absent at the tree's edges)
+     and the tree version of the descent.  A lookup whose target lies
+     within those bounds would descend to the same leaf, so it reads that
+     one page instead.  Only page ids and keys are kept, never a leaf
+     image, so page accounting and pool order stay exact. *)
+  let fingers = 4
+
+  type 'v t = {
+    pager : 'v node Storage.Pager.t;
+    mutable root : int;
+    order : int;
+    mutable version : int;  (* bumped by every insert and delete *)
+    f_page : int array;
+    f_version : int array;  (* -1 until recorded *)
+    mutable f_lo : K.t array;  (* [||] until the first recorded descent *)
+    mutable f_hi : K.t array;
+    f_has_lo : bool array;
+    f_has_hi : bool array;
+    mutable f_next : int;  (* the ring slot the next descent overwrites *)
+  }
 
   module P = Storage.Pager
 
@@ -90,16 +111,22 @@ module Make (K : KEY) = struct
     in
     { P.encode; P.decode }
 
+  let make pager root order =
+    { pager; root; order; version = 0;
+      f_page = Array.make fingers nil; f_version = Array.make fingers (-1);
+      f_lo = [||]; f_hi = [||];
+      f_has_lo = Array.make fingers false; f_has_hi = Array.make fingers false;
+      f_next = 0 }
+
   let create ?label ?(order = 64) ?pool_pages ?backend () =
     if order < 4 then invalid_arg "Btree.create: order < 4";
     let pager = P.create ?label ?pool_pages ?backend () in
     let root = P.alloc pager (Leaf { keys = [||]; vals = [||]; prev = nil; next = nil }) in
-    { pager; root; order }
+    make pager root order
 
   let open_existing ?label ?(order = 64) ?pool_pages ~backend ~root () =
     if order < 4 then invalid_arg "Btree.open_existing: order < 4";
-    let pager = P.attach ?label ?pool_pages ~backend () in
-    { pager; root; order }
+    make (P.attach ?label ?pool_pages ~backend ()) root order
 
   let root_id t = t.root
   let flush t = P.flush t.pager
@@ -158,18 +185,78 @@ module Make (K : KEY) = struct
     in
     go t.root 1
 
+  let read_leaf t page =
+    match P.read t.pager page with
+    | Leaf l -> l
+    | Node _ -> assert false
+
+  (* ---- fingers ---- *)
+
+  (* Descents carry their leaf's bounds as (key, present) pairs; an absent
+     bound's key is any separator and is never compared. *)
+  let record t page lo has_lo hi has_hi =
+    if Array.length t.f_lo = 0 then begin
+      t.f_lo <- Array.make fingers lo;
+      t.f_hi <- Array.make fingers hi
+    end;
+    let i = t.f_next in
+    t.f_next <- (i + 1) mod fingers;
+    t.f_page.(i) <- page;
+    t.f_version.(i) <- t.version;
+    t.f_lo.(i) <- lo;
+    t.f_has_lo.(i) <- has_lo;
+    t.f_hi.(i) <- hi;
+    t.f_has_hi.(i) <- has_hi
+
+  (* The leaf a probe descent would reach, if a finger holds it, else [nil]:
+     [lower_bound] routes past a separator [s] exactly when [f s < 0]. *)
+  let rec probe_finger t f i =
+    if i = fingers then nil
+    else if
+      t.f_version.(i) = t.version
+      && ((not t.f_has_lo.(i)) || f t.f_lo.(i) < 0)
+      && ((not t.f_has_hi.(i)) || f t.f_hi.(i) >= 0)
+    then t.f_page.(i)
+    else probe_finger t f (i + 1)
+
+  (* The same for an exact-key descent, which routes by [child_index]. *)
+  let rec key_finger t k i =
+    if i = fingers then nil
+    else if
+      t.f_version.(i) = t.version
+      && ((not t.f_has_lo.(i)) || K.compare t.f_lo.(i) k <= 0)
+      && ((not t.f_has_hi.(i)) || K.compare k t.f_hi.(i) < 0)
+    then t.f_page.(i)
+    else key_finger t k (i + 1)
+
   (* ---- find ---- *)
 
+  let find_leaf l k =
+    let i = key_index l.keys k in
+    if i < Array.length l.keys && K.compare l.keys.(i) k = 0 then Some l.vals.(i) else None
+
   (* descents are top-level recursions so that they allocate nothing *)
-  let rec find_in t page k =
+  let rec find_in t page k lo has_lo hi has_hi =
     match P.read t.pager page with
     | Leaf l ->
-        let i = key_index l.keys k in
-        if i < Array.length l.keys && K.compare l.keys.(i) k = 0 then Some l.vals.(i)
-        else None
-    | Node n -> find_in t n.children.(child_index n.seps k) k
+        record t page lo has_lo hi has_hi;
+        find_leaf l k
+    | Node n -> find_node t n k lo has_lo hi has_hi
 
-  let find t k = find_in t t.root k
+  and find_node t n k lo has_lo hi has_hi =
+    let i = child_index n.seps k in
+    let m = Array.length n.seps in
+    find_in t n.children.(i) k
+      (if i > 0 then n.seps.(i - 1) else lo) (has_lo || i > 0)
+      (if i < m then n.seps.(i) else hi) (has_hi || i < m)
+
+  let find t k =
+    let page = key_finger t k 0 in
+    if page <> nil then find_leaf (read_leaf t page) k
+    else
+      match P.read t.pager t.root with
+      | Leaf l -> find_leaf l k
+      | Node n -> find_node t n k k false k false
 
   let mem t k = find t k <> None
 
@@ -252,6 +339,7 @@ module Make (K : KEY) = struct
         end
 
   let insert t k v =
+    t.version <- t.version + 1;
     let _, sp = ins t t.root k v in
     match sp with
     | None -> ()
@@ -266,6 +354,7 @@ module Make (K : KEY) = struct
   (* ---- delete (lazy: no rebalancing, counts stay exact) ---- *)
 
   let delete t k =
+    t.version <- t.version + 1;
     let rec go page =
       match P.read t.pager page with
       | Leaf l ->
@@ -316,17 +405,30 @@ module Make (K : KEY) = struct
      invalidates the cursor. *)
   type 'v cursor = { tree : 'v t; mutable leaf : 'v leaf; mutable idx : int; mutable cur : int }
 
-  let read_leaf t page =
-    match P.read t.pager page with
-    | Leaf l -> l
-    | Node _ -> assert false
+  let seek_leaf t f l = { tree = t; leaf = l; idx = lower_bound f l.keys; cur = -1 }
 
-  let rec seek_in t f page =
+  let rec seek_in t f page lo has_lo hi has_hi =
     match P.read t.pager page with
-    | Leaf l -> { tree = t; leaf = l; idx = lower_bound f l.keys; cur = -1 }
-    | Node n -> seek_in t f n.children.(lower_bound f n.seps)
+    | Leaf l ->
+        record t page lo has_lo hi has_hi;
+        seek_leaf t f l
+    | Node n -> seek_node t f n lo has_lo hi has_hi
 
-  let seek t f = seek_in t f t.root
+  and seek_node t f n lo has_lo hi has_hi =
+    let i = lower_bound f n.seps in
+    let m = Array.length n.seps in
+    seek_in t f n.children.(i)
+      (if i > 0 then n.seps.(i - 1) else lo) (has_lo || i > 0)
+      (if i < m then n.seps.(i) else hi) (has_hi || i < m)
+
+  let seek t f =
+    let page = probe_finger t f 0 in
+    if page <> nil then seek_leaf t f (read_leaf t page)
+    else
+      match P.read t.pager t.root with
+      | Leaf l -> seek_leaf t f l
+      | Node n -> seek_node t f n n.seps.(0) false n.seps.(0) false
+
   let seek_key t k = seek t (fun k' -> K.compare k' k)
   let seek_min t = seek t (fun _ -> 0)
 

@@ -11,6 +11,14 @@
       probe, which lets axis cursors jump past whole subtrees (child and
       sibling axes) instead of scanning.
 
+    - {b Leaf fingers}: the tree remembers the leaves its last few root
+      descents reached, each with the two separators that bound it on its
+      root path.  A {!seek}, {!seek_key} or {!find} whose target lies
+      within a finger's bounds reads that one leaf instead of descending
+      from the root: a hit costs 1 logical read, a miss [height].  Nested
+      loops whose lookups stay in document order mostly hit.  {!insert}
+      and {!delete} retire every finger.
+
     Keys are unique; {!insert} is an upsert.  Deletion removes entries and
     maintains exact counts but does not rebalance (empty leaves remain
     chained and are skipped by cursors) — the classic lazy-deletion
@@ -87,6 +95,9 @@ module Make (K : KEY) : sig
   (** Upsert: replaces the value if the key is present. *)
 
   val find : 'v t -> K.t -> 'v option
+  (** One logical read when a finger holds [k]'s leaf, else [height]; the
+      descent's leaf becomes a finger.  Allocates only the option. *)
+
   val mem : 'v t -> K.t -> bool
 
   val delete : 'v t -> K.t -> bool
@@ -110,19 +121,28 @@ module Make (K : KEY) : sig
       A cursor is a position between entries.  Cursors are invalidated by
       any update to the tree.  A cursor pins the image of the leaf it sits
       on: a step within that leaf reads no page, and crossing to a sibling
-      leaf is one pager read. *)
+      leaf is one pager read.  Positioning reads one page on a finger hit
+      and [height] pages otherwise; {!rank} and {!count_range} always
+      descend from the root. *)
 
   type 'v cursor
 
   val seek : 'v t -> (K.t -> int) -> 'v cursor
-  (** Position just before the first key [k] with [f k >= 0]. *)
+  (** Position just before the first key [k] with [f k >= 0].  Reads only
+      the target leaf when a finger's bounds enclose the target ([f lo < 0]
+      for its left separator, [f hi >= 0] for its right one), else
+      descends from the root, reading [height] pages, and keeps the leaf
+      as a finger.  The position is the one a root descent gives.
+      Allocates only the cursor. *)
 
   val seek_key : 'v t -> K.t -> 'v cursor
-  (** Position just before [k] (or where it would be). *)
+  (** Position just before [k] (or where it would be); {!seek} with the
+      probe [fun k' -> K.compare k' k]. *)
 
   val seek_min : 'v t -> 'v cursor
+
   val seek_max : 'v t -> 'v cursor
-  (** Position after the last entry. *)
+  (** Position after the last entry; always a root descent. *)
 
   val step : 'v cursor -> bool
   (** Advance past the entry just after the cursor; [false] at the end.

@@ -265,13 +265,17 @@ let execute_prepared ?(profile = false) store ~context p =
   (* prepared analyses are statistics snapshots: reusable exactly while
      the store reports the preparation epoch and the context stays in the
      analyzed scope; otherwise re-derive (cheap, index-count probes) *)
-  let analyses =
+  let analyses, analyze_spans =
     if
       p.bound_epoch = Store.epoch store
       && Option.equal Flex.equal p.prep_scope (scope_of_context context)
-    then p.analyses
+    then (p.analyses, [])
     else
-      List.map (Analysis.analyze store ~scope:(scope_of_context context)) p.executed_plans
+      let analyses, dt =
+        Obs.time (fun () ->
+            List.map (Analysis.analyze store ~scope:(scope_of_context context)) p.executed_plans)
+      in
+      (analyses, [ Profile.span "analyze" dt ])
   in
   let skip plan a =
     if Analysis.statically_empty a then begin
@@ -320,7 +324,7 @@ let execute_prepared ?(profile = false) store ~context p =
                  pairs))
   in
   let io = Storage.Stats.diff (Store.io_stats store) io_before in
-  let spans = p.prep_spans @ [ Profile.span "execute" execute_time ] in
+  let spans = p.prep_spans @ analyze_spans @ [ Profile.span "execute" execute_time ] in
   if observed then emit_query_events store ~context p spans by_index_before;
   let profile_report =
     Option.map

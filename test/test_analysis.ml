@@ -164,6 +164,31 @@ let test_update_safety () =
       let r1 = Engine.execute_prepared store ~context:doc.Store.doc_key p in
       Alcotest.(check int) "found after insert" 1 (List.length r1.Engine.keys)
 
+(* re-deriving the analyses after a write is timed as its own span, listed
+   only when it ran *)
+let test_reanalysis_span () =
+  let store, doc = Test_vamana.setup () in
+  let context = doc.Store.doc_key in
+  match Engine.prepare store ~scope:(Some context) "//freshtag" with
+  | Error e -> Alcotest.fail e
+  | Ok p ->
+      let names () =
+        List.map
+          (fun (s : Profile.span) -> s.Profile.name)
+          (Engine.execute_prepared store ~context p).Engine.spans
+      in
+      Alcotest.(check bool) "no analyze span at the preparation epoch" false
+        (List.mem "analyze" (names ()));
+      let parent =
+        match Store.root_element_key doc store with
+        | Some k -> k
+        | None -> Alcotest.fail "no root element"
+      in
+      let _ = Store.insert_element store ~parent "freshtag" [] (Some "hello") in
+      let after = names () in
+      Alcotest.(check (list string)) "analyze, then execute" [ "analyze"; "execute" ]
+        (List.filteri (fun i _ -> i >= List.length after - 2) after)
+
 (* ---- structural well-formedness and the strict gate ---- *)
 
 let test_structural () =
@@ -476,6 +501,7 @@ let suite =
       Alcotest.test_case "engine short-circuit" `Quick test_engine_short_circuit;
       Alcotest.test_case "short-circuit event" `Quick test_short_circuit_event;
       Alcotest.test_case "update safety" `Quick test_update_safety;
+      Alcotest.test_case "re-analysis span" `Quick test_reanalysis_span;
       Alcotest.test_case "structural well-formedness" `Quick test_structural;
       Alcotest.test_case "seeded bug rejected" `Quick test_seeded_bug_rejected;
       Alcotest.test_case "seeded bug strict + event" `Quick test_seeded_bug_strict_and_event;

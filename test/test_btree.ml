@@ -353,6 +353,139 @@ let test_find_allocates_only_the_option () =
     true
     (words <= (2.0 *. float_of_int calls) +. 16.0)
 
+(* ---- leaf fingers ---- *)
+
+(* Even keys go in, so odd targets fall in the gaps inside and between
+   leaves; even targets hit present keys, deleted keys and separators
+   alike.  Run deletes empty whole leaves. *)
+type fop =
+  | F_insert of int * int
+  | F_delete_run of int * int
+  | F_find of int
+  | F_seek of int
+  | F_seek_key of int
+
+let print_fops ops =
+  String.concat ";"
+    (List.map
+       (function
+         | F_insert (k, v) -> Printf.sprintf "I(%d,%d)" k v
+         | F_delete_run (lo, len) -> Printf.sprintf "D%d+%d" lo len
+         | F_find k -> Printf.sprintf "F%d" k
+         | F_seek b -> Printf.sprintf "S%d" b
+         | F_seek_key k -> Printf.sprintf "K%d" k)
+       ops)
+
+let gen_fops =
+  let open QCheck.Gen in
+  let key = map (fun i -> 2 * i) (int_range 0 80) in
+  let target = int_range (-1) 161 in
+  let op =
+    frequency
+      [ (4, map2 (fun k v -> F_insert (k, v)) key (int_range 0 1000));
+        (1, map2 (fun lo len -> F_delete_run (lo, len)) key (int_range 1 12));
+        (3, map (fun k -> F_find k) target);
+        (3, map (fun b -> F_seek b) target);
+        (2, map (fun k -> F_seek_key k) target) ]
+  in
+  list_size (int_range 1 300) op
+
+(* the cursor sits just before the first model key >= [b]: one [step]
+   passes that key, and [step_back] twice returns over it to the one
+   before *)
+let cursor_at c model b =
+  let succ = IntMap.find_first_opt (fun k -> k >= b) model in
+  let pred = IntMap.find_last_opt (fun k -> k < b) model in
+  let passed = function
+    | Some (k, v) -> T.key c = k && T.value c = v
+    | None -> true
+  in
+  let fwd = T.step c in
+  fwd = (succ <> None)
+  && passed succ
+  && ((not fwd) || (T.step_back c && passed succ))
+  &&
+  let back = T.step_back c in
+  back = (pred <> None) && passed pred
+
+let prop_fingers =
+  QCheck.Test.make ~name:"finger lookups agree with a sorted list" ~count:300
+    (QCheck.make ~print:print_fops gen_fops) (fun ops ->
+      let t = T.create ~order:4 () in
+      let model = ref IntMap.empty in
+      List.for_all
+        (function
+          | F_insert (k, v) ->
+              T.insert t k v;
+              model := IntMap.add k v !model;
+              true
+          | F_delete_run (lo, len) ->
+              for i = 0 to len - 1 do
+                let k = lo + (2 * i) in
+                if T.delete t k <> IntMap.mem k !model then failwith "delete result mismatch";
+                model := IntMap.remove k !model
+              done;
+              true
+          | F_find k -> T.find t k = IntMap.find_opt k !model
+          | F_seek b -> cursor_at (T.seek t (fun k -> Int.compare k b)) !model b
+          | F_seek_key k -> cursor_at (T.seek_key t k) !model k)
+        ops
+      && (T.check_invariants t;
+          T.to_list t = IntMap.bindings !model))
+
+let logical_reads t = (T.stats t).Storage.Stats.logical_reads
+
+let reads t f =
+  let r0 = logical_reads t in
+  f ();
+  logical_reads t - r0
+
+let test_finger_reads () =
+  let t = mk (List.init 200 (fun i -> (2 * i, i))) in
+  let h = T.height t in
+  Alcotest.(check bool) "tree has inner levels" true (h > 2);
+  (* 101 lies strictly between two keys, so a find and a probe seek take
+     the same path and share a finger *)
+  let find () = ignore (T.find t 101) in
+  let seek () = ignore (T.seek t (fun k -> Int.compare k 101)) in
+  Alcotest.(check int) "first find descends" h (reads t find);
+  Alcotest.(check int) "second find reads its leaf" 1 (reads t find);
+  Alcotest.(check int) "seek into that leaf reads it" 1 (reads t seek);
+  Alcotest.(check int) "seek_key into that leaf reads it" 1
+    (reads t (fun () -> ignore (T.seek_key t 101)));
+  T.insert t 301 0;
+  let h = T.height t in
+  Alcotest.(check int) "first find after insert descends" h (reads t find);
+  Alcotest.(check int) "then reads its leaf" 1 (reads t find);
+  ignore (T.delete t 301);
+  Alcotest.(check int) "first seek after delete descends" h (reads t seek);
+  Alcotest.(check int) "then reads its leaf" 1 (reads t seek)
+
+let test_seek_allocates_only_its_cursor () =
+  let t = mk ~order:8 (List.init 1000 (fun i -> (i, i))) in
+  let h = T.height t in
+  let probes = Array.init 8 (fun j -> fun k -> Int.compare k ((125 * j) + 3)) in
+  let calls = 10_000 in
+  let run pick =
+    let r0 = logical_reads t and before = Gc.minor_words () in
+    for i = 1 to calls do
+      ignore (T.seek t (pick i))
+    done;
+    (Gc.minor_words () -. before, logical_reads t - r0)
+  in
+  let check what (words, reads) reads_per_seek =
+    Alcotest.(check int) (what ^ ": reads") (reads_per_seek * calls) reads;
+    (* a cursor is a four-field record: five words with its header *)
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %d seeks allocated %.0f minor words" what calls words)
+      true
+      (words <= (5.0 *. float_of_int calls) +. 16.0)
+  in
+  (* eight leaves in turn overrun the ring of fingers: every seek descends *)
+  check "miss" (run (fun i -> probes.(i mod 8))) h;
+  ignore (T.seek t probes.(0));
+  check "hit" (run (fun _ -> probes.(0))) 1
+
 let suite =
   ( "btree",
     [ Alcotest.test_case "empty tree" `Quick test_empty;
@@ -372,4 +505,8 @@ let suite =
       Alcotest.test_case "find allocates only the option" `Quick
         test_find_allocates_only_the_option;
       QCheck_alcotest.to_alcotest prop_cursor_model;
-      QCheck_alcotest.to_alcotest prop_cursor_steps ] )
+      QCheck_alcotest.to_alcotest prop_cursor_steps;
+      QCheck_alcotest.to_alcotest prop_fingers;
+      Alcotest.test_case "a finger hit reads one page" `Quick test_finger_reads;
+      Alcotest.test_case "seek allocates only its cursor" `Quick
+        test_seek_allocates_only_its_cursor ] )
