@@ -492,8 +492,9 @@ let run_lint file xmark_mb snapshot data_dir no_optimize json queries_file query
                (fun (_, (a : A.t)) ->
                  Printf.printf "  properties: %s%s\n"
                    (A.props_to_string a.A.root_props)
-                   (if A.statically_empty a then "  -- statically empty, execution skipped"
-                    else "");
+                   (if not (A.statically_empty a) then ""
+                    else if rep.T.rep_empty then "  -- statically empty, execution skipped"
+                    else "  -- statically empty");
                  match a.A.diagnostics with
                  | [] -> if rep.T.rep_diagnostics = [] then Printf.printf "  clean\n"
                  | ds ->

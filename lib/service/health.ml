@@ -31,37 +31,24 @@ type record = {
 }
 
 type t = {
-  mutable h_sample_every : int;
-  mutable h_threshold : float;
-  h_alpha : float;
+  h_sample_every : int;
+  h_threshold : float;
   h_records : (string, record) Lru.t;
-  h_reservoir : int;
 }
 
 let default_sample_every = 16
 let default_drift_threshold = 1.0
-let default_alpha = 0.5
+
+(* the EWMA smoothing factor and the per-record sample ring size *)
+let alpha = 0.5
+let reservoir = 32
 
 (* a backstop: the service keys records by plan shape and class, so the
    table normally holds far fewer *)
 let capacity = 512
 
-let create ?(sample_every = default_sample_every) ?(drift_threshold = default_drift_threshold)
-    ?(alpha = default_alpha) ?(reservoir = 32) () =
-  if reservoir < 1 then invalid_arg "Health.create: reservoir < 1";
-  if not (alpha > 0.0 && alpha <= 1.0) then invalid_arg "Health.create: alpha outside (0, 1]";
-  {
-    h_sample_every = sample_every;
-    h_threshold = drift_threshold;
-    h_alpha = alpha;
-    h_records = Lru.create ~capacity;
-    h_reservoir = reservoir;
-  }
-
-let sample_every t = t.h_sample_every
-let set_sample_every t n = t.h_sample_every <- n
-let drift_threshold t = t.h_threshold
-let set_drift_threshold t x = t.h_threshold <- x
+let create ?(sample_every = default_sample_every) ?(drift_threshold = default_drift_threshold) () =
+  { h_sample_every = sample_every; h_threshold = drift_threshold; h_records = Lru.create ~capacity }
 
 let record t ~key ~query ~scope ~optimized =
   match Lru.find t.h_records key with
@@ -83,7 +70,7 @@ let record t ~key ~query ~scope ~optimized =
           hr_cooldown = 0;
           hr_last_epoch = -1;
           hr_last_at = 0.0;
-          hr_samples = Array.make t.h_reservoir None;
+          hr_samples = Array.make reservoir None;
           hr_next = 0;
         }
       in
@@ -166,7 +153,7 @@ let observe t r ~epoch ~latency ~pages ~results ?(estimate_q = 1.0) (rep : Profi
      actuals" and "the statistics moved under the estimates", in doublings *)
   let q = Float.max max_q estimate_q in
   let d = if q <= 1.0 then 0.0 else Float.log2 q in
-  r.hr_drift <- ((1.0 -. t.h_alpha) *. r.hr_drift) +. (t.h_alpha *. d);
+  r.hr_drift <- ((1.0 -. alpha) *. r.hr_drift) +. (alpha *. d);
   r.hr_sampled <- r.hr_sampled + 1;
   r.hr_last_epoch <- epoch;
   r.hr_last_at <- Unix.gettimeofday ();

@@ -73,22 +73,14 @@ val default_sample_every : int
 val default_drift_threshold : float
 (** 1.0 — a sustained 2x estimate-vs-actual error. *)
 
-val default_alpha : float
-(** 0.5: the EWMA smoothing factor. *)
-
 val capacity : int
 (** 512: the most records a table keeps; creating one more drops the
     least recently used. *)
 
-val create :
-  ?sample_every:int -> ?drift_threshold:float -> ?alpha:float -> ?reservoir:int -> unit -> t
+val create : ?sample_every:int -> ?drift_threshold:float -> unit -> t
 (** [sample_every <= 0] disables sampling entirely (executions are still
-    counted); [reservoir] (default 32) bounds the per-plan sample ring. *)
-
-val sample_every : t -> int
-val set_sample_every : t -> int -> unit
-val drift_threshold : t -> float
-val set_drift_threshold : t -> float -> unit
+    counted).  The EWMA [alpha] is 0.5 and each record keeps its last 32
+    samples. *)
 
 val record : t -> key:string -> query:string -> scope:string -> optimized:bool -> record
 (** Find or create the health record for a plan key (the service renders

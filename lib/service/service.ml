@@ -49,7 +49,7 @@ type t = {
       (* prepared once per key, with the first literals seen *)
   results : (string * string array * string, result_entry) Lru.t option;
       (* (shape, slot values, context): answers differ per literal *)
-  mutable slow_threshold : float;  (* seconds; [infinity] disables *)
+  slow_threshold : float;  (* seconds; [infinity] disables *)
   slow_log : record Queue.t;  (* bounded ring, oldest dropped *)
   flight : Storage.Flight.t option;
   health : Health.t;
@@ -96,8 +96,6 @@ let store t = t.store
 let invalidation t = t.invalidation
 let metrics t = t.metrics
 let health t = t.health
-let slow_threshold t = t.slow_threshold
-let set_slow_threshold t s = t.slow_threshold <- s
 let slow_queries t = List.of_seq (Queue.to_seq t.slow_log)
 
 type outcome = {

@@ -194,9 +194,6 @@ type record = {
           profiled (sampled or requested); [None] on result-cache hits *)
 }
 
-val slow_threshold : t -> float
-val set_slow_threshold : t -> float -> unit
-
 val slow_queries : t -> record list
 (** Records of answered calls with [r_total_time >= slow_threshold],
     oldest first, at most the last 128; each also bumps the

@@ -13,9 +13,13 @@
       deduplicated stream), derived from the MASS counted indexes —
       [Some 0] is a proof of static emptiness.
 
-    All claims are sound: [Doc]/[distinct]/[no_nesting] are only
-    asserted when they hold for every store; [Unordered] and [None]
-    mean "not proven", never "proven false".
+    The claims are sound for the counts they were derived from, not for
+    every store: [card_max] comes from COUNT/TC, and a stream bounded
+    to at most one key is also claimed [Doc] and [no_nesting], so one
+    write can falsify an earlier analysis (one [people] makes
+    [//people/person] doc-ordered; a second nested inside a [person]
+    unsorts it).  That is why execution reads no analysis.  [Unordered]
+    and [None] mean "not proven", never "proven false".
 
     The analyzer also produces severity-ranked {!diagnostic}s (empty
     steps, dead predicates, un-eliminated reverse axes, malformed
@@ -61,7 +65,8 @@ val analyze_with : Cost.statistics_source -> scope:Flex.t option -> Plan.op -> t
 
 val statically_empty : t -> bool
 (** The root's [card_max] is [Some 0]: the plan provably returns no
-    tuples on the analyzed store, so the engine may skip execution. *)
+    tuples on the analyzed store (a diagnostic; the engine does not skip
+    on it). *)
 
 val props_of : t -> Plan.op -> props option
 val errors : t -> diagnostic list

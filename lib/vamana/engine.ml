@@ -22,7 +22,6 @@ type result = {
   io : Storage.Stats.t;
   spans : Profile.span list;
   profile : Profile.report option;
-  analysis : Analysis.t;
   attribution : attribution;
 }
 
@@ -77,7 +76,6 @@ type prepared = {
   prep_footprint : Footprint.t;
   prep_scope : Flex.t option;
   prep_epoch : int;
-  bound_epoch : int;
   prep_compile_time : float;
   prep_optimize_time : float;
   prep_spans : Profile.span list;
@@ -160,10 +158,9 @@ let prepare ?(optimize = true) ?(slots = [||]) store ~scope src =
           in
           let analyses = List.map (Analysis.analyze store ~scope) executed_plans in
           let prep_footprint = Footprint.of_plans executed_plans in
-          let epoch = Store.epoch store in
           Ok
             { source = src; slots; default_plans; executed_plans; outcomes; analyses; prep_report;
-              prep_footprint; prep_scope = scope; prep_epoch = epoch; bound_epoch = epoch;
+              prep_footprint; prep_scope = scope; prep_epoch = Store.epoch store;
               prep_compile_time = parse_time +. check_time +. compile_only_time;
               prep_optimize_time = optimize_time; prep_spans })
 
@@ -204,8 +201,7 @@ let bind store p ~source values =
       default_plans = bound p.default_plans;
       executed_plans;
       analyses = List.map (Analysis.analyze store ~scope) executed_plans;
-      prep_footprint = Footprint.of_plans executed_plans;
-      bound_epoch = Store.epoch store }
+      prep_footprint = Footprint.of_plans executed_plans }
   end
 
 let rec floor_log2 n = if n <= 1 then 0 else 1 + floor_log2 (n lsr 1)
@@ -262,30 +258,6 @@ let execute_prepared ?(profile = false) store ~context p =
   in
   let io_before = Storage.Stats.copy (Store.io_stats store) in
   let disk_before = Option.map Storage.Disk.copy_io (Store.disk_io store) in
-  (* prepared analyses are statistics snapshots: reusable exactly while
-     the store reports the preparation epoch and the context stays in the
-     analyzed scope; otherwise re-derive (cheap, index-count probes) *)
-  let analyses, analyze_spans =
-    if
-      p.bound_epoch = Store.epoch store
-      && Option.equal Flex.equal p.prep_scope (scope_of_context context)
-    then (p.analyses, [])
-    else
-      let analyses, dt =
-        Obs.time (fun () ->
-            List.map (Analysis.analyze store ~scope:(scope_of_context context)) p.executed_plans)
-      in
-      (analyses, [ Profile.span "analyze" dt ])
-  in
-  let skip plan a =
-    if Analysis.statically_empty a then begin
-      if Obs.active () then
-        Obs.emit ~category:"engine" "static_empty_skip"
-          [ ("query", Obs.Str p.source); ("plan", Obs.Str (Plan.kind_to_string (Plan.leaf plan))) ];
-      true
-    end
-    else false
-  in
   (* The typecheck walk interprets the query with the document node as
      context, so its emptiness proof only transfers when this execution
      really starts there (and the store hasn't moved since preparation). *)
@@ -305,26 +277,15 @@ let execute_prepared ?(profile = false) store ~context p =
           []
         end
         else
-        match List.combine p.executed_plans analyses with
-        | [ (plan, a) ] ->
-            if skip plan a then []
-            else
-              let rp = a.Analysis.root_props in
-              if rp.Analysis.order = Analysis.Doc && rp.Analysis.distinct then
-                (* the analyzer proved the raw stream sorted and
-                   duplicate-free: the final sort_uniq is a no-op *)
-                Exec.run_raw ?profile:pctx store ~context plan
-              else Exec.run ?profile:pctx store ~context plan
-        | pairs ->
-            (* union branches execute independently; the result sets merge *)
-            List.sort_uniq Flex.compare
-              (List.concat_map
-                 (fun (plan, a) ->
-                   if skip plan a then [] else Exec.run ?profile:pctx store ~context plan)
-                 pairs))
+          match p.executed_plans with
+          | [ plan ] -> Exec.run ?profile:pctx store ~context plan
+          | plans ->
+              (* union branches execute independently; the result sets merge *)
+              List.sort_uniq Flex.compare
+                (List.concat_map (Exec.run ?profile:pctx store ~context) plans))
   in
   let io = Storage.Stats.diff (Store.io_stats store) io_before in
-  let spans = p.prep_spans @ analyze_spans @ [ Profile.span "execute" execute_time ] in
+  let spans = p.prep_spans @ [ Profile.span "execute" execute_time ] in
   if observed then emit_query_events store ~context p spans by_index_before;
   let profile_report =
     Option.map
@@ -359,8 +320,7 @@ let execute_prepared ?(profile = false) store ~context p =
     optimizer = Option.map List.hd p.outcomes;
     compile_time = p.prep_compile_time;
     optimize_time = p.prep_optimize_time;
-    execute_time; io; spans; profile = profile_report;
-    analysis = List.hd analyses; attribution }
+    execute_time; io; spans; profile = profile_report; attribution }
 
 let query ?optimize ?profile store ~context src =
   (* attribute over the whole prepare+execute window: optimizer and
@@ -438,7 +398,7 @@ let explain ?(optimize = true) store doc src =
         else (a0, default_plan)
       in
       (if Analysis.statically_empty final_analysis then
-         Format.fprintf ppf "Statically empty: execution will be skipped@.");
+         Format.fprintf ppf "Statically empty@.");
       Format.fprintf ppf "Footprint: %s@."
         (Footprint.to_string (Footprint.of_plan final_plan));
       (match final_analysis.Analysis.diagnostics with
@@ -458,6 +418,7 @@ let explain_analyze ?(optimize = true) ?(json = false) store doc src =
       match r.profile with
       | None -> Error "profiling produced no report"
       | Some rep ->
+          let analysis = Analysis.analyze store ~scope:(Some doc.Store.doc_key) r.executed_plan in
           if json then
             Ok
               (Profile.Json.to_string
@@ -465,7 +426,7 @@ let explain_analyze ?(optimize = true) ?(json = false) store doc src =
                     [ ("query", Profile.Json.Str src);
                       ("results", Profile.Json.Int (List.length r.keys));
                       ("report", Profile.render_json rep);
-                      ("analysis", Analysis.to_json r.analysis r.executed_plan);
+                      ("analysis", Analysis.to_json analysis r.executed_plan);
                       ("footprint", Footprint.to_json (Footprint.of_plan r.executed_plan));
                       ( "attribution",
                         let a = r.attribution in
@@ -480,11 +441,11 @@ let explain_analyze ?(optimize = true) ?(json = false) store doc src =
           else
             let props_section =
               Format.asprintf "Static properties:@.%a"
-                (Analysis.pp_annotated ?costed:None r.analysis)
+                (Analysis.pp_annotated ?costed:None analysis)
                 r.executed_plan
             in
             let diag_section =
-              match r.analysis.Analysis.diagnostics with
+              match analysis.Analysis.diagnostics with
               | [] -> ""
               | ds ->
                   "Diagnostics:\n"

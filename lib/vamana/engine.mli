@@ -36,9 +36,6 @@ type result = {
   profile : Profile.report option;
       (** per-operator actuals joined with estimates; [Some] only when
           the query ran with [~profile:true] *)
-  analysis : Analysis.t;
-      (** inferred stream properties and diagnostics of the executed plan
-          (first branch for a union), as consulted by the execution path *)
   attribution : attribution;  (** this query's attributed resource use *)
 }
 
@@ -52,7 +49,10 @@ type prepared = {
   outcomes : Optimizer.outcome list option;
       (** the optimizer run that chose the plans — for a {!bind}ed plan,
           the run made for the slots it was prepared with *)
-  analyses : Analysis.t list;  (** one per executed plan, at [bound_epoch]/[prep_scope] *)
+  analyses : Analysis.t list;
+      (** one per executed plan, derived for [slots] under [prep_scope]
+          from the counts the store had then — a report for diagnostics;
+          {!execute_prepared} does not read it *)
   prep_report : Xpath.Typecheck.report;
       (** source-level static check against the path synopsis: XPath 1.0
           type/coercion diagnostics with source spans, per-step schema
@@ -68,9 +68,6 @@ type prepared = {
           atoms are the bound literals'. *)
   prep_scope : Flex.t option;
   prep_epoch : int;  (** {!Mass.Store.epoch} at preparation time *)
-  bound_epoch : int;
-      (** {!Mass.Store.epoch} when [analyses] were derived for [slots]
-          ([prep_epoch] until a {!bind}) *)
   prep_compile_time : float;  (** seconds *)
   prep_optimize_time : float;
   prep_spans : Profile.span list;  (** parse/compile/optimize spans *)
@@ -80,10 +77,9 @@ type prepared = {
     and scope-dependent only through the statistics the optimizer saw, so
     a [prepared] value stays {e semantically} valid across store updates
     (the optimizer guarantees any plan it emits computes the same result
-    set); only its cost estimates can go stale.  The stored analyses are
-    statistics {e snapshots}: {!execute_prepared} re-derives them when the
-    store epoch or the execution scope has moved, so a cached
-    static-emptiness verdict can never leak across an update. *)
+    set); only its cost estimates and its [analyses] can go stale.  The
+    one statistics-derived verdict execution acts on is the typecheck's
+    emptiness proof, and only at [prep_epoch]. *)
 
 val prepare :
   ?optimize:bool ->
@@ -141,11 +137,12 @@ val execute_prepared : ?profile:bool -> Mass.Store.t -> context:Flex.t -> prepar
     [profile] report; for a union, the report tree covers the first
     branch.  The unprofiled path allocates no profiling structures.
 
-    Statically-empty plans (per {!Analysis.statically_empty}) return []
-    without instantiating the executor — zero page reads — and emit an
-    [Obs] [static_empty_skip] event.  When the analyzer proves the raw
-    tuple stream already sorted and duplicate-free, the final
-    sort/deduplication pass is skipped. *)
+    Execution reads no {!Analysis} verdict: every plan runs through
+    {!Exec.run}.  The one skip is the typecheck's synopsis emptiness
+    proof ([prep_report]), taken while the store still reports
+    [prep_epoch] and [context] is the checked document node: the query
+    returns [] without instantiating the executor — zero page reads —
+    and emits an [Obs] [static_empty_skip] event. *)
 
 val scope_of_context : Flex.t -> Flex.t option
 (** Statistics scope of an execution context: the context's document root

@@ -127,7 +127,9 @@ let test_engine_short_circuit () =
   | Ok r ->
       Alcotest.(check (list string)) "no results" []
         (List.map Flex.to_string r.Engine.keys);
-      Alcotest.(check bool) "statically empty" true (A.statically_empty r.Engine.analysis);
+      Alcotest.(check bool) "statically empty" true
+        (A.statically_empty
+           (A.analyze store ~scope:(Some doc.Store.doc_key) r.Engine.executed_plan));
       Alcotest.(check int) "zero logical reads" 0 r.Engine.io.Storage.Stats.logical_reads;
       Alcotest.(check int) "zero physical reads" 0 r.Engine.io.Storage.Stats.physical_reads
 
@@ -160,34 +162,66 @@ let test_update_safety () =
         | None -> Alcotest.fail "no root element"
       in
       let _ = Store.insert_element store ~parent "freshtag" [] (Some "hello") in
-      (* same prepared value, post-update epoch: verdict is re-derived *)
+      (* same prepared value, post-update epoch: its emptiness proof no
+         longer applies *)
       let r1 = Engine.execute_prepared store ~context:doc.Store.doc_key p in
       Alcotest.(check int) "found after insert" 1 (List.length r1.Engine.keys)
 
-(* re-deriving the analyses after a write is timed as its own span, listed
-   only when it ran *)
-let test_reanalysis_span () =
+let fresh_keys store ~context src =
+  match Engine.query store ~context src with
+  | Ok r -> List.map Flex.to_string r.Engine.keys
+  | Error e -> Alcotest.fail e
+
+(* execution reads no analysis, so a write costs a cached plan nothing
+   but its run *)
+let test_no_reanalysis () =
   let store, doc = Test_vamana.setup () in
   let context = doc.Store.doc_key in
   match Engine.prepare store ~scope:(Some context) "//freshtag" with
   | Error e -> Alcotest.fail e
   | Ok p ->
-      let names () =
-        List.map
-          (fun (s : Profile.span) -> s.Profile.name)
-          (Engine.execute_prepared store ~context p).Engine.spans
-      in
-      Alcotest.(check bool) "no analyze span at the preparation epoch" false
-        (List.mem "analyze" (names ()));
       let parent =
         match Store.root_element_key doc store with
         | Some k -> k
         | None -> Alcotest.fail "no root element"
       in
       let _ = Store.insert_element store ~parent "freshtag" [] (Some "hello") in
-      let after = names () in
-      Alcotest.(check (list string)) "analyze, then execute" [ "analyze"; "execute" ]
-        (List.filteri (fun i _ -> i >= List.length after - 2) after)
+      let r = Engine.execute_prepared store ~context p in
+      let names = List.map (fun (s : Profile.span) -> s.Profile.name) r.Engine.spans in
+      Alcotest.(check bool) "no analyze span" false (List.mem "analyze" names);
+      Alcotest.(check string) "execute last" "execute" (List.nth names (List.length names - 1));
+      Alcotest.(check (list string)) "keys of a fresh query"
+        (fresh_keys store ~context "//freshtag")
+        (List.map Flex.to_string r.Engine.keys)
+
+(* an order claim holds for the counts it came from: with one [people],
+   [//people/person] is claimed doc-ordered, and one nested [people]
+   unsorts its raw stream *)
+let test_order_claim_counts () =
+  let store = Store.create () in
+  let doc =
+    Store.load_string store ~name:"people.xml"
+      "<site><people><person/><person/></people></site>"
+  in
+  let context = doc.Store.doc_key in
+  match Engine.prepare store ~scope:(Some context) "//people/person" with
+  | Error e -> Alcotest.fail e
+  | Ok p ->
+      let rp = (List.hd p.Engine.analyses).A.root_props in
+      Alcotest.(check bool) "claimed doc-ordered" true (rp.A.order = A.Doc && rp.A.distinct);
+      let first_person =
+        match Engine.query store ~context "//person" with
+        | Ok { Engine.keys = k :: _; _ } -> k
+        | _ -> Alcotest.fail "no person"
+      in
+      let nested = Store.insert_element store ~parent:first_person "people" [] None in
+      let _ = Store.insert_element store ~parent:nested "person" [] None in
+      let raw = Exec.run_raw store ~context (List.hd p.Engine.executed_plans) in
+      Alcotest.(check bool) "raw stream now unsorted" false
+        (List.sort_uniq Flex.compare raw = raw);
+      Alcotest.(check (list string)) "cached plan answers as a fresh query"
+        (fresh_keys store ~context "//people/person")
+        (List.map Flex.to_string (Engine.execute_prepared store ~context p).Engine.keys)
 
 (* ---- structural well-formedness and the strict gate ---- *)
 
@@ -501,7 +535,8 @@ let suite =
       Alcotest.test_case "engine short-circuit" `Quick test_engine_short_circuit;
       Alcotest.test_case "short-circuit event" `Quick test_short_circuit_event;
       Alcotest.test_case "update safety" `Quick test_update_safety;
-      Alcotest.test_case "re-analysis span" `Quick test_reanalysis_span;
+      Alcotest.test_case "no re-analysis after a write" `Quick test_no_reanalysis;
+      Alcotest.test_case "order claims hold for their counts" `Quick test_order_claim_counts;
       Alcotest.test_case "structural well-formedness" `Quick test_structural;
       Alcotest.test_case "seeded bug rejected" `Quick test_seeded_bug_rejected;
       Alcotest.test_case "seeded bug strict + event" `Quick test_seeded_bug_strict_and_event;
