@@ -68,7 +68,7 @@ let xmark_arg =
   Arg.(value & opt (some float) None & info [ "x"; "xmark" ] ~docv:"MB" ~doc)
 
 let snapshot_arg =
-  let doc = "Load the store from a snapshot written by $(b,vamana save)." in
+  let doc = "Load the store from a snapshot written by $(b,vamana snapshot save)." in
   Arg.(value & opt (some file) None & info [ "s"; "snapshot" ] ~docv:"SNAP" ~doc)
 
 let data_dir_arg =
@@ -523,10 +523,9 @@ let lint_cmd =
   in
   Cmd.v
     (Cmd.info "lint"
-       ~doc:"Statically analyze query plans: inferred stream properties (order, \
-             duplicate-freedom, cardinality bounds, static emptiness) and severity-ranked \
-             diagnostics, without executing anything. Exits non-zero on error-severity \
-             diagnostics.")
+       ~doc:"Statically analyze query plans: cardinality bounds, static emptiness and \
+             severity-ranked diagnostics, without executing anything. Exits non-zero on \
+             error-severity diagnostics.")
     Term.(const run_lint $ file_arg $ xmark_arg $ snapshot_arg $ data_dir_arg $ no_optimize_arg $ json_arg
           $ queries_arg $ query_opt_arg)
 
@@ -1297,19 +1296,6 @@ let report_cmd =
              top-N sections show the texts as served")
     Term.(const run_report $ dir $ top_arg)
 
-let run_save file xmark_mb data_dir output =
-  handle_parse_errors @@ fun () ->
-  let store, _ = input_doc file xmark_mb None data_dir in
-  Store.save_file store output;
-  Printf.eprintf "saved store snapshot to %s\n" output
-
-let save_cmd =
-  let out =
-    Arg.(required & opt (some string) None & info [ "o"; "output" ] ~docv:"SNAP" ~doc:"Snapshot path.")
-  in
-  Cmd.v (Cmd.info "save" ~doc:"Build a store and write a binary snapshot")
-    Term.(const run_save $ file_arg $ xmark_arg $ data_dir_arg $ out)
-
 (* ---- snapshot: whole-store save/restore, including across backends ---- *)
 
 let run_snapshot_save file xmark_mb data_dir output =
@@ -1652,4 +1638,4 @@ let prove_cmd =
 
 let () =
   let info = Cmd.info "vamana" ~version:"1.0.0" ~doc:"Cost-driven XPath engine over the MASS storage structure" in
-  exit (Cmd.eval (Cmd.group info [ query_cmd; xquery_cmd; explain_cmd; lint_cmd; footprint_cmd; prove_cmd; synopsis_cmd; stats_cmd; generate_cmd; save_cmd; snapshot_cmd; churn_cmd; fsck_cmd; serve_cmd; health_cmd; events_cmd; trace_cmd; report_cmd ]))
+  exit (Cmd.eval (Cmd.group info [ query_cmd; xquery_cmd; explain_cmd; lint_cmd; footprint_cmd; prove_cmd; synopsis_cmd; stats_cmd; generate_cmd; snapshot_cmd; churn_cmd; fsck_cmd; serve_cmd; health_cmd; events_cmd; trace_cmd; report_cmd ]))

@@ -1,20 +1,13 @@
-(* Static plan analysis: property inference, diagnostics, rewrite
+(* Static plan analysis: cardinality bounds, diagnostics, rewrite
    signatures.  See analysis.mli for the contract; DESIGN.md §5⅞ for the
-   lattice and the soundness argument of each transfer function. *)
+   soundness argument of each transfer function. *)
 
 module Ast = Xpath.Ast
 module Store = Mass.Store
 module Record = Mass.Record
 module Json = Profile.Json
 
-type order = Doc | Rev_doc | Unordered
-
-type props = {
-  order : order;
-  distinct : bool;
-  no_nesting : bool;
-  card_max : int option;
-}
+type props = int option
 
 type severity = Info | Warning | Error
 
@@ -33,29 +26,8 @@ type t = {
 }
 
 exception Ill_formed of string
-exception Property_violation of string
 
-(* Strict-mode state is private: the only way to enable it is the
-   scoped [with_strict], so it cannot leak across test cases. *)
-let strict_state = ref false
-let strict_enabled () = !strict_state
-
-let with_strict f =
-  let saved = !strict_state in
-  strict_state := true;
-  Fun.protect ~finally:(fun () -> strict_state := saved) f
-
-(* The stream a chain leaf pulls from: the single engine context tuple.
-   Predicate sub-plans likewise re-root at one candidate at a time. *)
-let context_stream = { order = Doc; distinct = true; no_nesting = true; card_max = Some 1 }
-
-(* An empty stream trivially has every property. *)
-let empty_stream = { order = Doc; distinct = true; no_nesting = true; card_max = Some 0 }
-
-let is_empty p = p.card_max = Some 0
-
-(* A stream of at most one key, each key appearing once. *)
-let single p = p.distinct && (match p.card_max with Some n -> n <= 1 | None -> false)
+let is_empty p = p = Some 0
 
 type env = {
   stats : Cost.statistics_source;
@@ -304,73 +276,29 @@ type sat = Unsat | Valid | Unknown
 let rec infer env (op : Plan.op) : props =
   let p =
     match op.Plan.kind with
-    | Plan.Root -> ( match op.Plan.context with Some c -> infer env c | None -> empty_stream)
-    | Plan.Step (axis, test) -> infer_step env op ~axis ~test ~generic:false
-    | Plan.Step_generic s -> infer_step env op ~axis:s.Ast.axis ~test:s.Ast.test ~generic:true
+    | Plan.Root -> ( match op.Plan.context with Some c -> infer env c | None -> Some 0)
+    | Plan.Step (axis, test) -> infer_step env op ~axis ~test
+    | Plan.Step_generic s -> infer_step env op ~axis:s.Ast.axis ~test:s.Ast.test
     | Plan.Value_step (v, source) -> infer_value env op v source
-  in
-  (* an empty stream has every property; a ≤1-element duplicate-free
-     stream is trivially sorted and non-nesting *)
-  let p =
-    if is_empty p then empty_stream
-    else if single p then { p with order = Doc; no_nesting = true }
-    else p
   in
   Hashtbl.replace env.tbl op.Plan.id p;
   p
 
-and input_props env (op : Plan.op) =
-  match op.Plan.context with Some c -> infer env c | None -> context_stream
+(* A chain leaf pulls from the single engine context tuple; predicate
+   sub-plans likewise re-root at one candidate at a time. *)
+and input_card env (op : Plan.op) =
+  match op.Plan.context with Some c -> infer env c | None -> Some 1
 
-and infer_step env op ~axis ~test ~generic =
-  let i = input_props env op in
+and infer_step env op ~axis ~test =
+  let i = input_card env op in
   let count = count_for env axis test in
-  let forward = not (Ast.is_reverse_axis axis) in
-  let one = single i in
-  (* a per-context stream of leaf-kind nodes can never nest *)
-  let leaf_kind_test =
-    axis = Ast.Attribute
-    || (match test with Ast.Text_test | Ast.Comment_test | Ast.Pi_test _ -> true | _ -> false)
-  in
-  (* axes whose results stay inside the context node's subtree: distinct
-     disjoint inputs in document order yield globally sorted output *)
-  let subtree_contained =
-    match axis with
-    | Ast.Child | Ast.Attribute | Ast.Descendant | Ast.Descendant_or_self | Ast.Self -> true
-    | _ -> false
-  in
-  let order =
-    if axis = Ast.Self then i.order
-    else if one then
-      (* one cursor: forward axes stream document order, reverse axes
-         reverse document order; the generic evaluator always sorts *)
-      if forward || generic then Doc else Rev_doc
-    else if i.order = Doc && i.distinct && i.no_nesting && subtree_contained then Doc
-    else Unordered
-  in
-  let distinct =
-    one
-    || (i.distinct
-        && (match axis with
-           | Ast.Self | Ast.Child | Ast.Attribute -> true
-           | Ast.Descendant | Ast.Descendant_or_self -> i.no_nesting
-           | _ -> false))
-  in
-  let no_nesting =
-    leaf_kind_test
-    || (match axis with
-       | Ast.Self -> i.no_nesting
-       | Ast.Child | Ast.Attribute -> one || i.no_nesting
-       | Ast.Parent | Ast.Following_sibling | Ast.Preceding_sibling -> one
-       | _ -> false)
-  in
   let base_card =
     if is_empty i then Some 0
     else
       match axis with
       | Ast.Namespace -> Some 0
       | Ast.Parent | Ast.Self -> (
-          match i.card_max with Some n -> Some (min n count) | None -> Some count)
+          match i with Some n -> Some (min n count) | None -> Some count)
       | _ -> Some count
   in
   (if axis = Ast.Namespace then
@@ -381,11 +309,11 @@ and infer_step env op ~axis ~test ~generic =
           (Ast.axis_name axis) (Ast.node_test_to_string test)));
   (* parent:: is excluded: the optimizer introduces it on purpose (value
      index, pushdowns) and it costs one prefix truncation per tuple *)
-  (if (not forward) && axis <> Ast.Parent then
+  (if Ast.is_reverse_axis axis && axis <> Ast.Parent then
      diag env Info "reverse-axis" op
        (Printf.sprintf "reverse axis %s:: survives optimization (streams in reverse document order)"
           (Ast.axis_name axis)));
-  (if (not forward)
+  (if Ast.is_reverse_axis axis
       && List.exists
            (fun (p : Plan.pred) ->
              match p with Plan.Position _ -> true | _ -> false)
@@ -393,11 +321,10 @@ and infer_step env op ~axis ~test ~generic =
    then
      diag env Warning "position-on-reverse-axis" op
        "position() over a reverse axis counts in proximity order (nearest first), which often surprises");
-  apply_predicates env op ~count ~input:i
-    { order; distinct; no_nesting; card_max = base_card }
+  apply_predicates env op ~count ~input:i base_card
 
 and infer_value env op v source =
-  let i = input_props env op in
+  let i = input_card env op in
   let tc = env.stats.Cost.value_count ~scope:env.scope v in
   let dead_source =
     match source with
@@ -408,50 +335,39 @@ and infer_value env op v source =
   (if tc = 0 && (not (is_empty i)) && not dead_source then
      diag env Warning "empty-step" op
        (Printf.sprintf "no indexed value equals '%s' (TC = 0): step is provably empty" v));
-  (* value cursors scan the value index in document order; disjoint
-     distinct sorted contexts keep the merged stream sorted and
-     duplicate-free, and value hits are text/attribute leaves *)
-  let streamy = single i || (i.order = Doc && i.distinct && i.no_nesting) in
-  apply_predicates env op ~count:tc ~input:i
-    { order = (if streamy then Doc else Unordered);
-      distinct = streamy;
-      no_nesting = true;
-      card_max = base_card }
+  apply_predicates env op ~count:tc ~input:i base_card
 
-(* Fold predicate effects into the operator's properties: an unsatisfiable
-   predicate empties the stream; equality predicates tighten card_max. *)
-and apply_predicates env op ~count ~input props =
-  let card =
-    List.fold_left
-      (fun card pred ->
-        let st = pred_status env ~count pred in
-        (match st with
-        | Unsat ->
-            diag env Warning "dead-predicate" op
-              (Printf.sprintf "predicate can never hold: %s" (pred_label pred))
-        | Valid ->
-            diag env Info "redundant-predicate" op
-              (Printf.sprintf "predicate is always true: %s" (pred_label pred))
-        | Unknown -> ());
-        if st = Unsat then Some 0
-        else
-          match card with
-          | Some 0 -> card
-          | _ -> (
-              match pred with
-              | Plan.Position (Ast.Eq, _) -> (
-                  (* at most one hit per distinct context *)
-                  match (input.card_max, card) with
-                  | Some n, Some c -> Some (min n c)
-                  | Some n, None -> Some n
-                  | None, c -> c)
-              | _ -> (
-                  match value_cap env pred with
-                  | Some tc -> ( match card with Some c -> Some (min c tc) | None -> Some tc)
-                  | None -> card)))
-      props.card_max op.Plan.predicates
-  in
-  { props with card_max = card }
+(* Fold predicate effects into the operator's bound: an unsatisfiable
+   predicate empties the stream; equality predicates tighten it. *)
+and apply_predicates env op ~count ~input card =
+  List.fold_left
+    (fun card pred ->
+      let st = pred_status env ~count pred in
+      (match st with
+      | Unsat ->
+          diag env Warning "dead-predicate" op
+            (Printf.sprintf "predicate can never hold: %s" (pred_label pred))
+      | Valid ->
+          diag env Info "redundant-predicate" op
+            (Printf.sprintf "predicate is always true: %s" (pred_label pred))
+      | Unknown -> ());
+      if st = Unsat then Some 0
+      else
+        match card with
+        | Some 0 -> card
+        | _ -> (
+            match pred with
+            | Plan.Position (Ast.Eq, _) -> (
+                (* at most one hit per distinct context *)
+                match (input, card) with
+                | Some n, Some c -> Some (min n c)
+                | Some n, None -> Some n
+                | None, c -> c)
+            | _ -> (
+                match value_cap env pred with
+                | Some tc -> ( match card with Some c -> Some (min c tc) | None -> Some tc)
+                | None -> card)))
+    card op.Plan.predicates
 
 (* TC cap: a depth-1 [text() = 'v'] / [@a = 'v'] predicate bounds the
    result set by the value count (paper Table I case 5). *)
@@ -560,8 +476,8 @@ let analyze ?stats store ~scope plan =
   let stats = match stats with Some s -> s | None -> Cost.live_statistics store in
   analyze_with stats ~scope plan
 
-let statically_empty t = t.root_props.card_max = Some 0
-let props_of t (op : Plan.op) = Hashtbl.find_opt t.props op.Plan.id
+let statically_empty t = is_empty t.root_props
+let props_of t (op : Plan.op) = Option.join (Hashtbl.find_opt t.props op.Plan.id)
 let errors t = List.filter (fun d -> d.severity = Error) t.diagnostics
 
 (* ------------------------------------------------------------------ *)
@@ -639,13 +555,10 @@ let check_rewrite ~before ~after ~after_errors =
 (* Rendering                                                           *)
 
 let severity_to_string = function Info -> "info" | Warning -> "warning" | Error -> "error"
-let order_to_string = function Doc -> "doc-order" | Rev_doc -> "reverse-order" | Unordered -> "unordered"
 
-let props_to_string p =
-  Printf.sprintf "{%s, %s, %s, card%s}" (order_to_string p.order)
-    (if p.distinct then "distinct" else "dups?")
-    (if p.no_nesting then "disjoint" else "nesting?")
-    (match p.card_max with Some n -> Printf.sprintf "≤%d" n | None -> " unbounded")
+let props_to_string = function
+  | Some n -> Printf.sprintf "{card≤%d}" n
+  | None -> "{card unbounded}"
 
 let diagnostic_to_string d =
   Printf.sprintf "%s [%s] %s: %s" (severity_to_string d.severity) d.code d.op_label d.message
@@ -703,11 +616,7 @@ let pp_annotated ?costed t ppf plan =
   pp_op 0 plan
 
 let props_json p =
-  Json.Obj
-    [ ("order", Json.Str (order_to_string p.order));
-      ("distinct", Json.Bool p.distinct);
-      ("no_nesting", Json.Bool p.no_nesting);
-      ("card_max", match p.card_max with Some n -> Json.Int n | None -> Json.Null) ]
+  Json.Obj [ ("card_max", match p with Some n -> Json.Int n | None -> Json.Null) ]
 
 let diagnostic_json d =
   Json.Obj

@@ -1,25 +1,15 @@
-(** Static plan analysis (plan property inference + rewrite safety).
+(** Static plan analysis (cardinality bounds + rewrite safety).
 
     An abstract interpretation over the physical plan tree.  For every
-    operator it infers a conservative description of the FLEX-key stream
-    the operator emits:
+    operator it infers an upper bound on the {e result set} (the
+    deduplicated stream) the operator emits, derived from the MASS
+    counted indexes (COUNT, TC); [Some 0] is a proof of static
+    emptiness.
 
-    - {e order}: document order, reverse document order, or unknown;
-    - {e distinct}: no key appears twice in the stream;
-    - {e no_nesting}: the emitted subtrees are pairwise disjoint (no key
-      is an ancestor of another) — the property that lets a downward
-      axis over the stream stay sorted and duplicate-free;
-    - {e card_max}: an upper bound on the {e result set} (the
-      deduplicated stream), derived from the MASS counted indexes —
-      [Some 0] is a proof of static emptiness.
-
-    The claims are sound for the counts they were derived from, not for
-    every store: [card_max] comes from COUNT/TC, and a stream bounded
-    to at most one key is also claimed [Doc] and [no_nesting], so one
-    write can falsify an earlier analysis (one [people] makes
-    [//people/person] doc-ordered; a second nested inside a [person]
-    unsorts it).  That is why execution reads no analysis.  [Unordered]
-    and [None] mean "not proven", never "proven false".
+    The bounds are sound for the counts they were derived from, not for
+    every store: one write can falsify an earlier analysis.  That is why
+    execution reads no analysis; {!Exec.run} checks stream order at run
+    time.
 
     The analyzer also produces severity-ranked {!diagnostic}s (empty
     steps, dead predicates, un-eliminated reverse axes, malformed
@@ -27,17 +17,8 @@
     across a rewrite: a rule whose rewritten plan changes the signature
     is semantically suspect and is rejected regardless of cost. *)
 
-type order =
-  | Doc  (** ascending document order *)
-  | Rev_doc  (** descending document order (reverse-axis proximity) *)
-  | Unordered  (** no order proven *)
-
-type props = {
-  order : order;
-  distinct : bool;
-  no_nesting : bool;
-  card_max : int option;  (** result-set upper bound; [None] = unbounded *)
-}
+type props = int option
+(** An operator's result-set upper bound; [None] = no bound proven. *)
 
 type severity = Info | Warning | Error
 
@@ -50,14 +31,14 @@ type diagnostic = {
 }
 
 type t = {
-  props : (int, props) Hashtbl.t;  (** operator id → inferred stream properties *)
+  props : (int, props) Hashtbl.t;  (** operator id → result-set bound *)
   diagnostics : diagnostic list;  (** in plan order, structural first *)
   root_props : props;
 }
 
 val analyze :
   ?stats:Cost.statistics_source -> Mass.Store.t -> scope:Flex.t option -> Plan.op -> t
-(** Infer properties for every operator of [plan].  [scope] is the
+(** Bound the result set of every operator of [plan].  [scope] is the
     document key for per-document statistics (as in {!Cost.estimate});
     [stats] defaults to {!Cost.live_statistics}. *)
 
@@ -68,7 +49,10 @@ val statically_empty : t -> bool
     tuples on the analyzed store (a diagnostic; the engine does not skip
     on it). *)
 
-val props_of : t -> Plan.op -> props option
+val props_of : t -> Plan.op -> props
+(** The operator's bound; [None] also for an operator outside the
+    analyzed plan. *)
+
 val errors : t -> diagnostic list
 (** [Error]-severity diagnostics only. *)
 
@@ -109,43 +93,28 @@ val check_rewrite :
     Checks that need no statistics: nested [R] operators, predicates on
     [R] (the executor ignores them), non-comparison [β] conditions (the
     executor raises on those), value steps sourced from node tests that
-    can never hold a value.  Used by the executor's strict debug gate
-    before instantiating a plan. *)
+    can never hold a value.  Every analysis carries them as [Error]
+    diagnostics, so the optimizer never admits a malformed rewrite. *)
 
 val structural_diagnostics : Plan.op -> diagnostic list
 
 exception Ill_formed of string
 (** Raised by {!assert_well_formed} on a structural [Error]. *)
 
-exception Property_violation of string
-(** Raised by the optimizer (under {!with_strict}) when an admissible-cost
-    rewrite fails {!check_rewrite}. *)
-
 val assert_well_formed : Plan.op -> unit
-
-val with_strict : (unit -> 'a) -> 'a
-(** Run [f] with strict mode on, restoring the previous setting on exit
-    (normal or exceptional — [Fun.protect]).  While active, {!Exec.build}
-    validates plan structure before opening it and the optimizer
-    escalates property violations from rejection to
-    {!Property_violation}.  Scoped activation cannot leak across test
-    cases or prover runs the way flipping the raw flag could. *)
-
-val strict_enabled : unit -> bool
-(** Whether strict mode is currently active. *)
 
 (** {1 Rendering} *)
 
 val severity_to_string : severity -> string
 val props_to_string : props -> string
-(** e.g. ["{doc-order, distinct, disjoint, card≤42}"]. *)
+(** ["{card≤42}"] or ["{card unbounded}"]. *)
 
 val diagnostic_to_string : diagnostic -> string
 
 val pp_annotated : ?costed:Cost.costed -> t -> Format.formatter -> Plan.op -> unit
-(** Plan tree annotated with inferred properties and, when [costed] is
-    given, the COUNT/IN/OUT estimates beside them. *)
+(** Plan tree annotated with each operator's bound and, when [costed] is
+    given, the COUNT/IN/OUT estimates beside it. *)
 
 val to_json : t -> Plan.op -> Profile.Json.t
-(** Self-contained JSON: root properties, per-operator properties,
-    diagnostics, the static-emptiness verdict. *)
+(** Self-contained JSON: root and per-operator [card_max], diagnostics,
+    the static-emptiness verdict. *)

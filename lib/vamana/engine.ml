@@ -372,44 +372,60 @@ let eval store ~context src =
 
 let materialize store keys = List.filter_map (Store.get store) keys
 
+(* One branch's default and optimized plans, costed by Table I alone *)
+let explain_plan ~optimize store ~scope ppf default_plan =
+  let costed = Cost.estimate store ~scope default_plan in
+  let a0 = Analysis.analyze store ~scope default_plan in
+  Format.fprintf ppf "Default plan:@.%a@." (Analysis.pp_annotated ~costed a0) default_plan;
+  let final_analysis, final_plan =
+    if optimize then begin
+      let o = Optimizer.optimize store ~scope default_plan in
+      List.iter
+        (fun (t : Optimizer.trace_entry) ->
+          Format.fprintf ppf "applied %s at %s: cost %d -> %d@." t.Optimizer.rule
+            t.Optimizer.target t.Optimizer.cost_before t.Optimizer.cost_after)
+        o.Optimizer.trace;
+      let a1 = Analysis.analyze store ~scope o.Optimizer.plan in
+      Format.fprintf ppf "Optimized plan (%d iterations):@.%a@." o.Optimizer.iterations
+        (Analysis.pp_annotated ~costed:o.Optimizer.cost a1) o.Optimizer.plan;
+      (a1, o.Optimizer.plan)
+    end
+    else (a0, default_plan)
+  in
+  (if Analysis.statically_empty final_analysis then
+     Format.fprintf ppf "Statically empty@.");
+  Format.fprintf ppf "Footprint: %s@."
+    (Footprint.to_string (Footprint.of_plan final_plan));
+  (match final_analysis.Analysis.diagnostics with
+  | [] -> ()
+  | ds ->
+      Format.fprintf ppf "Diagnostics:@.";
+      List.iter
+        (fun d -> Format.fprintf ppf "  %s@." (Analysis.diagnostic_to_string d))
+        ds)
+
 let explain ?(optimize = true) store doc src =
-  match Compile.compile_query src with
-  | Error msg -> Error msg
-  | Ok default_plan ->
-      let scope = Some doc.Store.doc_key in
-      let buf = Buffer.create 512 in
-      let ppf = Format.formatter_of_buffer buf in
-      let costed = Cost.estimate store ~scope default_plan in
-      let a0 = Analysis.analyze store ~scope default_plan in
-      Format.fprintf ppf "Default plan:@.%a@." (Analysis.pp_annotated ~costed a0) default_plan;
-      let final_analysis, final_plan =
-        if optimize then begin
-          let o = Optimizer.optimize store ~scope default_plan in
-          List.iter
-            (fun (t : Optimizer.trace_entry) ->
-              Format.fprintf ppf "applied %s at %s: cost %d -> %d@." t.Optimizer.rule
-                t.Optimizer.target t.Optimizer.cost_before t.Optimizer.cost_after)
-            o.Optimizer.trace;
-          let a1 = Analysis.analyze store ~scope o.Optimizer.plan in
-          Format.fprintf ppf "Optimized plan (%d iterations):@.%a@." o.Optimizer.iterations
-            (Analysis.pp_annotated ~costed:o.Optimizer.cost a1) o.Optimizer.plan;
-          (a1, o.Optimizer.plan)
-        end
-        else (a0, default_plan)
-      in
-      (if Analysis.statically_empty final_analysis then
-         Format.fprintf ppf "Statically empty@.");
-      Format.fprintf ppf "Footprint: %s@."
-        (Footprint.to_string (Footprint.of_plan final_plan));
-      (match final_analysis.Analysis.diagnostics with
-      | [] -> ()
-      | ds ->
-          Format.fprintf ppf "Diagnostics:@.";
-          List.iter
-            (fun d -> Format.fprintf ppf "  %s@." (Analysis.diagnostic_to_string d))
-            ds);
-      Format.pp_print_flush ppf ();
-      Ok (Buffer.contents buf)
+  match Xpath.Parser.parse src with
+  | exception (Xpath.Parser.Error _ as exn) ->
+      Error (Option.value ~default:"parse error" (Xpath.Parser.error_to_string exn))
+  | ast -> (
+      match union_branches ast with
+      | None -> Error "expression is not a location path or union of paths"
+      | Some paths ->
+          let scope = Some doc.Store.doc_key in
+          let buf = Buffer.create 512 in
+          let ppf = Format.formatter_of_buffer buf in
+          let explain_path p = explain_plan ~optimize store ~scope ppf (Compile.compile_path p) in
+          (match paths with
+          | [ p ] -> explain_path p
+          | _ ->
+              List.iteri
+                (fun i p ->
+                  Format.fprintf ppf "Branch %d: %s@." (i + 1) (Xpath.Ast.path_to_string p);
+                  explain_path p)
+                paths);
+          Format.pp_print_flush ppf ();
+          Ok (Buffer.contents buf))
 
 let explain_analyze ?(optimize = true) ?(json = false) store doc src =
   match query ~optimize ~profile:true store ~context:doc.Store.doc_key src with

@@ -196,8 +196,9 @@ val materialize : Mass.Store.t -> Flex.t list -> Mass.Record.t list
 
 val explain : ?optimize:bool -> Mass.Store.t -> Mass.Store.doc -> string -> (string, string) Result.t
 (** Cost-annotated plan rendering (paper Figures 6–9 style), including
-    the optimizer trace, the inferred per-operator stream properties and
-    the analyzer's diagnostics. *)
+    the optimizer trace, the per-operator cardinality bounds and the
+    analyzer's diagnostics.  A union of paths is explained branch by
+    branch, each under a [Branch i:] header. *)
 
 val explain_analyze :
   ?optimize:bool ->

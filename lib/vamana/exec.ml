@@ -286,13 +286,6 @@ and str_eq cmp x y =
 
 (* ---- whole-plan execution ---- *)
 
-(* Strict debug gate: validate plan structure once, at the root, before
-   instantiating any iterator (malformed plans otherwise surface as
-   confusing mid-stream invalid_arg failures). *)
-let build ?profile store ~context op =
-  if Analysis.strict_enabled () then Analysis.assert_well_formed op;
-  build ?profile store ~context op
-
 let run_raw ?profile store ~context plan =
   let it = build ?profile store ~context plan in
   let rec go acc = match next it with Some k -> go (k :: acc) | None -> List.rev acc in

@@ -24,11 +24,7 @@ val build : ?profile:Profile.ctx -> Mass.Store.t -> context:Flex.t -> Plan.op ->
     tuples, [next]/[reset] calls, cursor openings, state transitions,
     exclusive wall time and page-read deltas — into the context; without
     it, iterators carry no profiling structures and the hot path is
-    unchanged.
-
-    Under {!Analysis.with_strict} the plan's structure is validated once at
-    the root before any iterator is instantiated; a malformed plan
-    raises {!Analysis.Ill_formed} instead of failing mid-stream. *)
+    unchanged. *)
 
 val run : ?profile:Profile.ctx -> Mass.Store.t -> context:Flex.t -> Plan.op -> Flex.t list
 (** Execute to exhaustion; result in document order, duplicate-free (the

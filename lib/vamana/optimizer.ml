@@ -61,7 +61,7 @@ let optimize ?(rules = Rewrite.cost_rules) ?stats store ~scope plan =
                             if cost' <= current_cost then begin
                               (* cost admits the rewrite; semantics must
                                  agree too — a rule that changes the
-                                 plan's inferred properties is buggy no
+                                 plan's rewrite signature is buggy no
                                  matter how cheap its plan looks *)
                               let analysis' = Analysis.analyze ?stats store ~scope plan' in
                               match
@@ -81,11 +81,6 @@ let optimize ?(rules = Rewrite.cost_rules) ?stats store ~scope plan =
                                   Log.warn (fun m ->
                                       m "rejected %s at %s: %s" rule.Rewrite.name
                                         (Plan.kind_to_string op) reason);
-                                  if Analysis.strict_enabled () then
-                                    raise
-                                      (Analysis.Property_violation
-                                         (Printf.sprintf "%s at %s: %s" rule.Rewrite.name
-                                            (Plan.kind_to_string op) reason));
                                   None
                               | Ok () ->
                                   if Obs.active () then

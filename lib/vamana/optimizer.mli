@@ -51,10 +51,9 @@ val optimize :
 
     Every cost-admissible candidate is additionally vetted by
     {!Analysis.check_rewrite} against the current plan's semantic
-    signature; a violating candidate is skipped (with an [Obs]
-    [rule_property_violation] event) — or, under
-    {!Analysis.with_strict}, escalated to
-    {!Analysis.Property_violation}. *)
+    signature; a violating candidate is skipped, counted in
+    [property_rejected] and reported as an [Obs]
+    [rule_property_violation] event. *)
 
 val max_iterations : int
 (** Safety bound on optimization iterations (the rewrite system

@@ -345,19 +345,8 @@ let mutate_props f store ~scope plan =
   Hashtbl.filter_map_inplace (fun _ p -> Some (f p)) props;
   { a with Analysis.props; root_props = f a.Analysis.root_props }
 
-let order_everywhere store ~scope plan =
-  mutate_props (fun p -> { p with Analysis.order = Analysis.Doc }) store ~scope plan
-
-let distinct_everywhere store ~scope plan =
-  mutate_props (fun p -> { p with Analysis.distinct = true }) store ~scope plan
-
 let card_off_by_one store ~scope plan =
-  mutate_props
-    (fun p ->
-      match p.Analysis.card_max with
-      | Some n when n >= 2 -> { p with Analysis.card_max = Some (n - 1) }
-      | _ -> p)
-    store ~scope plan
+  mutate_props (function Some n when n >= 2 -> Some (n - 1) | p -> p) store ~scope plan
 
 (* Claims every text() step statically empty — modelling an analyzer
    that forgot text records exist. *)
@@ -367,10 +356,8 @@ let empty_text_step store ~scope plan =
   Plan.iter_ops
     (fun op ->
       match op.Plan.kind with
-      | Plan.Step (_, Ast.Text_test) -> (
-          match Hashtbl.find_opt props op.Plan.id with
-          | Some p -> Hashtbl.replace props op.Plan.id { p with Analysis.card_max = Some 0 }
-          | None -> ())
+      | Plan.Step (_, Ast.Text_test) when Hashtbl.mem props op.Plan.id ->
+          Hashtbl.replace props op.Plan.id (Some 0)
       | _ -> ())
     plan;
   { a with Analysis.props }
@@ -416,12 +403,6 @@ let mutants =
       ~desc:"rewrite that silently discards a step's predicates"
       ~rules:(Rewrite.all_rules @ [ mutant_drop_predicate ])
       ~analyze:real.sub_analyze ~stats:real.sub_stats;
-    mutant "order-unsorted" ~check:"analysis-order"
-      ~desc:"analyzer that claims document order without proving a sort"
-      ~rules:real.sub_rules ~analyze:order_everywhere ~stats:real.sub_stats;
-    mutant "distinct-everywhere" ~check:"analysis-distinct"
-      ~desc:"analyzer that claims duplicate-freedom unconditionally"
-      ~rules:real.sub_rules ~analyze:distinct_everywhere ~stats:real.sub_stats;
     mutant "card-off-by-one" ~check:"analysis-card"
       ~desc:"analyzer whose cardinality bounds are one too small"
       ~rules:real.sub_rules ~analyze:card_off_by_one ~stats:real.sub_stats;
@@ -458,12 +439,6 @@ exception Fail of check_error
 
 let fail ?rule family check detail =
   raise (Fail { e_family = family; e_check = check; e_rule = rule; e_detail = detail })
-
-let is_sorted cmp l =
-  let rec go = function a :: (b :: _ as rest) -> cmp a b <= 0 && go rest | _ -> true in
-  go l
-
-let is_ancestor a b = Flex.depth a < Flex.depth b && Flex.equal a (Flex.prefix b (Flex.depth a))
 
 let keys_to_string l =
   let n = List.length l in
@@ -519,48 +494,18 @@ let check_analysis subject store ~scope raw plan =
     (fun (op : Plan.op) ->
       match Analysis.props_of a op with
       | None -> ()
-      | Some p ->
+      | Some 0 ->
           let r = raw op in
-          let set = List.sort_uniq Flex.compare r in
-          (match p.Analysis.order with
-          | Analysis.Doc ->
-              if not (is_sorted Flex.compare r) then
-                fail Analysis_soundness "analysis-order"
-                  (Printf.sprintf "%s claims doc order, raw stream %s is unsorted"
-                     (Plan.kind_to_string op) (keys_to_string r))
-          | Analysis.Rev_doc ->
-              if not (is_sorted (fun x y -> Flex.compare y x) r) then
-                fail Analysis_soundness "analysis-order"
-                  (Printf.sprintf "%s claims reverse doc order, raw stream %s is not reverse-sorted"
-                     (Plan.kind_to_string op) (keys_to_string r))
-          | Analysis.Unordered -> ());
-          if p.Analysis.distinct && List.length r <> List.length set then
-            fail Analysis_soundness "analysis-distinct"
-              (Printf.sprintf "%s claims distinct, raw stream %s has duplicates"
-                 (Plan.kind_to_string op) (keys_to_string r));
-          (match p.Analysis.card_max with
-          | Some 0 ->
-              if r <> [] then
-                fail Analysis_soundness "analysis-empty"
-                  (Printf.sprintf "%s claims statically empty, raw stream is %s"
-                     (Plan.kind_to_string op) (keys_to_string r))
-          | Some n ->
-              if List.length set > n then
-                fail Analysis_soundness "analysis-card"
-                  (Printf.sprintf "%s claims card≤%d, result set has %d nodes"
-                     (Plan.kind_to_string op) n (List.length set))
-          | None -> ());
-          if p.Analysis.no_nesting then
-            let rec adjacent = function
-              | x :: (y :: _ as rest) ->
-                  if is_ancestor x y then
-                    fail Analysis_soundness "analysis-nesting"
-                      (Printf.sprintf "%s claims disjoint, %s nests %s" (Plan.kind_to_string op)
-                         (Flex.to_string x) (Flex.to_string y))
-                  else adjacent rest
-              | _ -> ()
-            in
-            adjacent set)
+          if r <> [] then
+            fail Analysis_soundness "analysis-empty"
+              (Printf.sprintf "%s claims statically empty, raw stream is %s"
+                 (Plan.kind_to_string op) (keys_to_string r))
+      | Some n ->
+          let set = List.sort_uniq Flex.compare (raw op) in
+          if List.length set > n then
+            fail Analysis_soundness "analysis-card"
+              (Printf.sprintf "%s claims card≤%d, result set has %d nodes"
+                 (Plan.kind_to_string op) n (List.length set)))
     (Plan.context_chain plan)
 
 let check_typecheck store ~scope ~context raw cq =

@@ -18,10 +18,10 @@
       produce a plan whose executed node set equals the original's, and
       the rewrite must pass {!Analysis.check_rewrite};
     - {b analysis soundness}: every {!Analysis.props_of} claim
-      (ordering, distinctness, cardinality bound, static emptiness) is
-      validated against the raw {!Exec} stream of the operator's
-      sub-plan, and every exact {!Xpath.Typecheck} step bound against
-      the executed chain and {!Engine.eval};
+      (cardinality bound, static emptiness) is validated against the
+      raw {!Exec} stream of the operator's sub-plan, and every exact
+      {!Xpath.Typecheck} step bound against the executed chain and
+      {!Engine.eval};
     - {b cost-model invariants}: {!Cost.estimate_with} never produces
       negative or NaN figures, a synopsis [chain_out] count claimed
       exact equals the profiled actual raw tuple count, and no
@@ -108,7 +108,7 @@ val family_of_string : string -> family option
 
 type counterexample = {
   cx_family : family;
-  cx_check : string;  (** stable slug, e.g. ["rule-node-set"], ["analysis-order"] *)
+  cx_check : string;  (** stable slug, e.g. ["rule-node-set"], ["analysis-card"] *)
   cx_rule : string option;  (** offending rule, for rule-soundness findings *)
   cx_doc : string;  (** minimal document, XML *)
   cx_query : string;  (** minimal query, XPath *)

@@ -115,7 +115,7 @@ let mutant_cases =
     SC.mutants
 
 let test_mutant_catalogue_complete () =
-  Alcotest.(check int) "nine seeded mutants" 9 (List.length SC.mutants);
+  Alcotest.(check int) "seven seeded mutants" 7 (List.length SC.mutants);
   List.iter
     (fun m ->
       Alcotest.(check bool)

@@ -295,8 +295,29 @@ let test_engine_explain () =
         go 0
       in
       Alcotest.(check bool) "mentions a rewrite" true (contains "applied" s);
-      Alcotest.(check bool) "shows counts" true (contains "COUNT=" s)
+      Alcotest.(check bool) "shows counts" true (contains "COUNT=" s);
+      Alcotest.(check bool) "single path has no branch header" false (contains "Branch" s)
   | Error e -> Alcotest.fail e
+
+(* explain accepts every query prepare accepts: a union is explained
+   branch by branch *)
+let test_engine_explain_union () =
+  let store, doc = setup () in
+  match Engine.explain store doc "//person/name | //item/name" with
+  | Error e -> Alcotest.fail e
+  | Ok s ->
+      let count needle =
+        let n = String.length needle and h = String.length s in
+        let rec go i acc =
+          if i + n > h then acc else go (i + 1) (if String.sub s i n = needle then acc + 1 else acc)
+        in
+        go 0 0
+      in
+      Alcotest.(check int) "two branch headers" 2 (count "Branch ");
+      Alcotest.(check int) "a default plan per branch" 2 (count "Default plan:");
+      Alcotest.(check int) "an optimized plan per branch" 2 (count "Optimized plan");
+      Alcotest.(check bool) "person branch" true (count "person" > 0);
+      Alcotest.(check bool) "item branch" true (count "item" > 0)
 
 let test_engine_eval () =
   let store, doc = setup () in
@@ -455,6 +476,7 @@ let suite =
       Alcotest.test_case "estimates are upper bounds" `Quick test_cost_is_upper_bound;
       Alcotest.test_case "optimizer cost is monotone" `Quick test_optimizer_monotone_trace;
       Alcotest.test_case "explain output" `Quick test_engine_explain;
+      Alcotest.test_case "explain union query" `Quick test_engine_explain_union;
       Alcotest.test_case "generic eval facade" `Quick test_engine_eval;
       Alcotest.test_case "timings and io" `Quick test_engine_timings_and_io;
       Alcotest.test_case "query_store over multiple documents" `Quick test_query_store_multidoc;
