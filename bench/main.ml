@@ -60,9 +60,9 @@ type sized = {
   source : string;
 }
 
-(* every corpus query must lint clean of Error-severity diagnostics on
-   the document it is about to be measured on — a malformed or
-   semantically suspect plan would make the numbers meaningless *)
+(* every corpus query must lint clean of Error-severity (structural)
+   diagnostics on the document it is about to be measured on — a
+   malformed plan would make the numbers meaningless *)
 let assert_lint_clean store (doc : Store.doc) =
   List.iter
     (fun (label, q) ->
@@ -70,14 +70,14 @@ let assert_lint_clean store (doc : Store.doc) =
       | Error e -> failwith (label ^ ": " ^ e)
       | Ok p ->
           List.iter
-            (fun (a : Vamana.Analysis.t) ->
-              match Vamana.Analysis.errors a with
+            (fun plan ->
+              match Vamana.Analysis.structural_diagnostics plan with
               | [] -> ()
               | d :: _ ->
                   failwith
                     (Printf.sprintf "%s: lint error: %s" label
                        (Vamana.Analysis.diagnostic_to_string d)))
-            p.Vamana.Engine.analyses)
+            p.Vamana.Engine.executed_plans)
     queries
 
 let build_sized mb =

@@ -379,6 +379,11 @@ let run_lint file xmark_mb snapshot data_dir no_optimize json queries_file query
   let module A = Vamana.Analysis in
   let module T = Xpath.Typecheck in
   let module J = Vamana.Profile.Json in
+  let tally = function
+    | T.Error -> incr errors
+    | T.Warning -> incr warnings
+    | T.Info -> ()
+  in
   let lint_one q =
     (* parse separately first: the engine's error string is one line,
        the lint report wants the caret rendering under the source *)
@@ -392,26 +397,16 @@ let run_lint file xmark_mb snapshot data_dir no_optimize json queries_file query
         incr errors;
         Error msg
     | Ok p ->
-        let pairs = List.combine p.Vamana.Engine.executed_plans p.Vamana.Engine.analyses in
-        List.iter
-          (fun (_, (a : A.t)) ->
-            List.iter
-              (fun (d : A.diagnostic) ->
-                match d.A.severity with
-                | A.Error -> incr errors
-                | A.Warning -> incr warnings
-                | A.Info -> ())
-              a.A.diagnostics)
-          pairs;
+        let branches =
+          List.map2
+            (fun plan table -> (plan, table, A.diagnostics table plan))
+            p.Vamana.Engine.executed_plans p.Vamana.Engine.tables
+        in
         let rep = p.Vamana.Engine.prep_report in
-        List.iter
-          (fun (d : T.diagnostic) ->
-            match d.T.severity with
-            | T.Error -> incr errors
-            | T.Warning -> incr warnings
-            | T.Info -> ())
-          rep.T.rep_diagnostics;
-        Ok (rep, pairs, p.Vamana.Engine.prep_footprint))
+        List.iter (fun (_, _, ds) -> List.iter (fun (d : A.diagnostic) -> tally d.A.severity) ds)
+          branches;
+        List.iter (fun (d : T.diagnostic) -> tally d.T.severity) rep.T.rep_diagnostics;
+        Ok (rep, branches, p.Vamana.Engine.prep_footprint))
   in
   let results = List.map (fun q -> (q, lint_one q)) queries in
   let span_json = function
@@ -452,12 +447,13 @@ let run_lint file xmark_mb snapshot data_dir no_optimize json queries_file query
          (fun (q, r) ->
            match r with
            | Error msg -> J.Obj [ ("query", J.Str q); ("error", J.Str msg) ]
-           | Ok (rep, pairs, fp) ->
+           | Ok (rep, branches, fp) ->
                J.Obj
                  [ ("query", J.Str q);
                    ("typecheck", typecheck_json rep);
                    ("footprint", Vamana.Footprint.to_json fp);
-                   ("branches", J.Arr (List.map (fun (plan, a) -> A.to_json a plan) pairs)) ])
+                   ( "branches",
+                     J.Arr (List.map (fun (plan, table, _) -> A.to_json table plan) branches) ) ])
          results
      in
      print_endline
@@ -482,26 +478,26 @@ let run_lint file xmark_mb snapshot data_dir no_optimize json queries_file query
                print_indented msg
              end
              else Printf.printf "  error [compile] %s\n" msg
-         | Ok (rep, pairs, fp) ->
+         | Ok (rep, branches, fp) ->
              List.iter
                (fun (d : T.diagnostic) ->
                  print_indented (Format.asprintf "%a" (T.pp_diagnostic ~src:q) d))
                rep.T.rep_diagnostics;
              Printf.printf "  footprint: %s\n" (Vamana.Footprint.to_string fp);
              List.iter
-               (fun (_, (a : A.t)) ->
-                 Printf.printf "  properties: %s%s\n"
-                   (A.props_to_string a.A.root_props)
-                   (if not (A.statically_empty a) then ""
+               (fun (plan, table, ds) ->
+                 Printf.printf "  properties: {card≤%d}%s\n"
+                   (Hashtbl.find table plan.Vamana.Plan.id).Vamana.Cost.bound
+                   (if not (A.statically_empty table plan) then ""
                     else if rep.T.rep_empty then "  -- statically empty, execution skipped"
                     else "  -- statically empty");
-                 match a.A.diagnostics with
+                 match ds with
                  | [] -> if rep.T.rep_diagnostics = [] then Printf.printf "  clean\n"
                  | ds ->
                      List.iter
                        (fun d -> Printf.printf "  %s\n" (A.diagnostic_to_string d))
                        ds)
-               pairs)
+               branches)
        results;
      Printf.printf "-- %d queries, %d errors, %d warnings\n" (List.length results) !errors
        !warnings

@@ -1,8 +1,13 @@
-(** Cost estimation (paper §VI-B and Table I).
+(** The plan walk: cost estimation (paper §VI-B and Table I) and proven
+    cardinality bounds, in one pass.
 
     Statistics are taken directly from the MASS indexes — exact counted
     B+-tree probes, no histograms — so estimates stay accurate under
-    updates.  For each operator the estimator derives:
+    updates.  This walk is the only code that reads a
+    {!statistics_source} while walking a plan.  For each operator it
+    derives two numbers.
+
+    The Table I estimate, which the optimizer minimises:
 
     - [COUNT]: nodes satisfying the node test (name-index count, scoped
       to the queried document);
@@ -13,12 +18,25 @@
     - [OUT]: the Table I upper bound — downward axes are bounded by
       [COUNT], upward/lateral axes by [IN], [self] by the table's
       max-like rule; a value-comparable binary predicate caps [OUT] at
-      [min IN TC] (the paper's case 5);
+      [min IN TC] (the paper's case 5).  A synopsis source may refine it;
     - selectivity δ = IN/OUT, the optimizer's ordering key.
+
+    The proven [bound] ([card≤N]): an upper bound on the operator's
+    deduplicated result set, built from [COUNT] and [TC] alone (never
+    from the synopsis refinement), so it is the same under every source
+    whose counts agree.  [bound = 0] is a proof of static emptiness on
+    the counted store; one write can falsify it, so execution never
+    reads it.  Alongside it the walk records the three-valued verdict of
+    each predicate, from which {!Analysis} builds the lint diagnostics
+    without reading statistics again.
 
     The paper's Figure 7 takes the predicate-path text-step [COUNT] from
     the candidate element count; we use the document-wide node-test count,
     which preserves every ordering the heuristics rely on. *)
+
+type sat = Unsat | Valid | Unknown
+(** A predicate's satisfiability over any candidate: never holds, always
+    holds, or depends on the candidate. *)
 
 type stats = {
   count : int;
@@ -26,6 +44,8 @@ type stats = {
   input : int;
   output : int;
   selectivity : float;  (** IN/OUT; [infinity] when OUT = 0 *)
+  bound : int;  (** proven result-set upper bound, from COUNT and TC only *)
+  verdicts : sat list;  (** one per plan predicate of the operator, in order *)
 }
 
 type costed = (int, stats) Hashtbl.t
@@ -80,6 +100,3 @@ val total_output : costed -> Plan.op -> int
 val ordered_by_selectivity : costed -> Plan.op -> (Plan.op * float) list
 (** The paper's ordered list [L(P)]: step/value operators sorted by
     selectivity, most selective first, δ scaled to [0, 1]. *)
-
-val pp_annotated : costed -> Format.formatter -> Plan.op -> unit
-(** Plan tree with COUNT/IN/OUT annotations (paper Figures 6 and 7). *)

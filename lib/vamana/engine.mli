@@ -49,10 +49,12 @@ type prepared = {
   outcomes : Optimizer.outcome list option;
       (** the optimizer run that chose the plans — for a {!bind}ed plan,
           the run made for the slots it was prepared with *)
-  analyses : Analysis.t list;
-      (** one per executed plan, derived for [slots] under [prep_scope]
-          from the counts the store had then — a report for diagnostics;
-          {!execute_prepared} does not read it *)
+  tables : Cost.costed list;
+      (** one {!Cost.estimate} walk per executed plan, for [slots] under
+          [prep_scope], from the counts the store had then: Table I
+          estimates, bounds and predicate verdicts — a report for
+          diagnostics ({!Analysis}); {!execute_prepared} does not read
+          it *)
   prep_report : Xpath.Typecheck.report;
       (** source-level static check against the path synopsis: XPath 1.0
           type/coercion diagnostics with source spans, per-step schema
@@ -77,7 +79,7 @@ type prepared = {
     and scope-dependent only through the statistics the optimizer saw, so
     a [prepared] value stays {e semantically} valid across store updates
     (the optimizer guarantees any plan it emits computes the same result
-    set); only its cost estimates and its [analyses] can go stale.  The
+    set); only its cost estimates and its [tables] can go stale.  The
     one statistics-derived verdict execution acts on is the typecheck's
     emptiness proof, and only at [prep_epoch]. *)
 
@@ -114,7 +116,7 @@ val bind : Mass.Store.t -> prepared -> source:string -> string array -> prepared
     [source] as its text.  The plan choice, the optimizer outcomes and
     the typecheck report (shape-level: see [slots] in {!prepare}) are
     kept; what depends on the literal is re-derived for the binding:
-    the analyses (a TC = 0 emptiness proof holds for one value only) and
+    the tables (a TC = 0 emptiness proof holds for one value only) and
     the read footprint (its value atoms).  A profiled execution of a
     bound plan costs it afresh for its own literals.  Binding [p]'s own
     values only swaps [source].

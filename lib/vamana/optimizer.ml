@@ -27,18 +27,18 @@ type outcome = {
 
 let max_iterations = 16
 
+(* Each plan is walked once: a candidate's table, computed to admit it,
+   is the next iteration's table and, at the fixpoint, the outcome's. *)
 let optimize ?(rules = Rewrite.cost_rules) ?stats store ~scope plan =
-  let plan = Rewrite.apply_cleanup plan in
-  let rec loop plan iterations trace stats_acc =
-    if iterations >= max_iterations then finish plan iterations trace stats_acc
+  let estimate plan = Cost.estimate ?stats store ~scope plan in
+  let rec loop plan costed iterations trace stats_acc =
+    if iterations >= max_iterations then finish plan costed iterations trace stats_acc
     else begin
       let t0 = Obs.clock () in
       let considered = ref 0 and rejected = ref 0 and property_rejected = ref 0 in
-      let costed = Cost.estimate ?stats store ~scope plan in
       let current_cost = Cost.total_output costed plan in
       let ordered = Cost.ordered_by_selectivity costed plan in
-      let analysis = Analysis.analyze ?stats store ~scope plan in
-      let sig_before = Analysis.signature_of analysis plan in
+      let sig_before = Analysis.signature_of costed plan in
       (* most selective operator first; first admissible rewrite wins *)
       let candidate =
         List.fold_left
@@ -56,19 +56,18 @@ let optimize ?(rules = Rewrite.cost_rules) ?stats store ~scope plan =
                         | Some plan' ->
                             incr considered;
                             let plan' = Rewrite.apply_cleanup plan' in
-                            let costed' = Cost.estimate ?stats store ~scope plan' in
+                            let costed' = estimate plan' in
                             let cost' = Cost.total_output costed' plan' in
                             if cost' <= current_cost then begin
                               (* cost admits the rewrite; semantics must
                                  agree too — a rule that changes the
                                  plan's rewrite signature is buggy no
                                  matter how cheap its plan looks *)
-                              let analysis' = Analysis.analyze ?stats store ~scope plan' in
                               match
                                 Analysis.check_rewrite
                                   ~before:sig_before
-                                  ~after:(Analysis.signature_of analysis' plan')
-                                  ~after_errors:(Analysis.errors analysis')
+                                  ~after:(Analysis.signature_of costed' plan')
+                                  ~after_errors:(Analysis.structural_diagnostics plan')
                               with
                               | Error reason ->
                                   incr property_rejected;
@@ -91,6 +90,7 @@ let optimize ?(rules = Rewrite.cost_rules) ?stats store ~scope plan =
                                         ("cost_after", Obs.Int cost') ];
                                   Some
                                     ( plan',
+                                      costed',
                                       { rule = rule.Rewrite.name;
                                         target = Plan.kind_to_string op;
                                         cost_before = current_cost;
@@ -118,15 +118,16 @@ let optimize ?(rules = Rewrite.cost_rules) ?stats store ~scope plan =
           accepted }
       in
       match candidate with
-      | Some (plan', entry) ->
+      | Some (plan', costed', entry) ->
           Log.debug (fun m ->
               m "applied %s at %s: cost %d -> %d" entry.rule entry.target entry.cost_before
                 entry.cost_after);
-          loop plan' (iterations + 1) (entry :: trace) (stat (Some entry.rule) :: stats_acc)
-      | None -> finish plan iterations trace (stat None :: stats_acc)
+          loop plan' costed' (iterations + 1) (entry :: trace)
+            (stat (Some entry.rule) :: stats_acc)
+      | None -> finish plan costed iterations trace (stat None :: stats_acc)
     end
-  and finish plan iterations trace stats_acc =
-    { plan; iterations; trace = List.rev trace; iteration_stats = List.rev stats_acc;
-      cost = Cost.estimate ?stats store ~scope plan }
+  and finish plan cost iterations trace stats_acc =
+    { plan; iterations; trace = List.rev trace; iteration_stats = List.rev stats_acc; cost }
   in
-  loop plan 0 [] []
+  let plan = Rewrite.apply_cleanup plan in
+  loop plan (estimate plan) 0 [] []

@@ -92,6 +92,120 @@ let subtree_ops op =
   iter_ops (fun o -> acc := o :: !acc) op;
   List.rev !acc
 
+let is_comparison (b : Xpath.Ast.binop) =
+  match b with
+  | Xpath.Ast.Eq | Xpath.Ast.Neq | Xpath.Ast.Lt | Xpath.Ast.Le | Xpath.Ast.Gt | Xpath.Ast.Ge -> true
+  | _ -> false
+
+(* ---- node descriptions ---- *)
+
+module Ast = Xpath.Ast
+module Record = Mass.Record
+
+(* Fixed kind order so descriptions compare structurally. *)
+let kind_rank = function
+  | Record.Document -> 0
+  | Record.Element -> 1
+  | Record.Attribute -> 2
+  | Record.Text -> 3
+  | Record.Comment -> 4
+  | Record.Pi -> 5
+
+let norm_kinds ks = List.sort_uniq (fun a b -> compare (kind_rank a) (kind_rank b)) ks
+
+type node_desc = { kinds : Record.kind list; name : string option }
+
+let desc_of_test axis (test : Ast.node_test) =
+  if axis = Ast.Attribute then
+    match test with
+    | Ast.Name_test n -> { kinds = [ Record.Attribute ]; name = Some n }
+    | Ast.Wildcard | Ast.Node_test -> { kinds = [ Record.Attribute ]; name = None }
+    | Ast.Text_test | Ast.Comment_test | Ast.Pi_test _ -> { kinds = []; name = None }
+  else
+    match test with
+    | Ast.Name_test n -> { kinds = [ Record.Element ]; name = Some n }
+    | Ast.Wildcard -> { kinds = [ Record.Element ]; name = None }
+    | Ast.Text_test -> { kinds = [ Record.Text ]; name = None }
+    | Ast.Comment_test -> { kinds = [ Record.Comment ]; name = None }
+    | Ast.Pi_test _ -> { kinds = [ Record.Pi ]; name = None }
+    | Ast.Node_test ->
+        let ks =
+          match axis with
+          | Ast.Ancestor | Ast.Ancestor_or_self | Ast.Parent ->
+              (* upward axes can reach the document node *)
+              [ Record.Document; Record.Element; Record.Text; Record.Comment; Record.Pi ]
+          | _ -> [ Record.Element; Record.Text; Record.Comment; Record.Pi ]
+        in
+        { kinds = norm_kinds ks; name = None }
+
+(* A predicate that can only hold on a node with children (the sub-path
+   starts with child:: or descendant::) or with attributes: every
+   comparison β is existential, so an empty sub-path falsifies it.  Not
+   is excluded (it inverts the requirement); Or requires both arms. *)
+let rec pred_narrows (p : pred) =
+  let of_sub (sub : op) =
+    match (leaf sub).kind with
+    | Step ((Ast.Child | Ast.Descendant), _) -> Some `Children
+    | Step (Ast.Attribute, _) -> Some `Attrs
+    | _ -> None
+  in
+  match p with
+  | Exists sub | Binary (_, _, Path_operand sub, _) | Binary (_, _, _, Path_operand sub) ->
+      of_sub sub
+  | And (a, b) -> ( match pred_narrows a with Some _ as r -> r | None -> pred_narrows b)
+  | Or (a, b) -> (
+      match (pred_narrows a, pred_narrows b) with
+      | Some `Attrs, Some _ | Some _, Some `Attrs -> Some `Attrs
+      | Some `Children, Some `Children -> Some `Children
+      | _ -> None)
+  | Not _ | Binary _ | Position _ | Generic _ -> None
+
+(* Only documents and elements have children; only elements have
+   attributes. *)
+let refine_desc_by_preds (op : op) desc =
+  List.fold_left
+    (fun d p ->
+      match pred_narrows p with
+      | Some `Children ->
+          { d with
+            kinds = List.filter (fun k -> k = Record.Document || k = Record.Element) d.kinds }
+      | Some `Attrs -> { d with kinds = List.filter (fun k -> k = Record.Element) d.kinds }
+      | None -> d)
+    desc op.predicates
+
+let rec desc_of (op : op) = refine_desc_by_preds op (desc_of_kind op)
+
+and desc_of_kind (op : op) =
+  match op.kind with
+  | Root -> ( match op.context with Some c -> desc_of c | None -> { kinds = []; name = None })
+  | Step (axis, test) -> (
+      match axis with
+      | Ast.Self -> (
+          (* self narrows the input description by the test *)
+          let input =
+            match op.context with
+            | Some c -> desc_of c
+            | None ->
+                { kinds = norm_kinds [ Record.Document; Record.Element; Record.Attribute;
+                                       Record.Text; Record.Comment; Record.Pi ];
+                  name = None }
+          in
+          let test_desc = desc_of_test axis test in
+          match test with
+          | Ast.Node_test -> input
+          | _ ->
+              { kinds = List.filter (fun k -> List.mem k input.kinds)
+                  (match test_desc.kinds with [] -> input.kinds | ks -> ks);
+                name = (match test_desc.name with Some _ as n -> n | None -> input.name) })
+      | _ -> desc_of_test axis test)
+  | Step_generic s -> desc_of_test s.Ast.axis s.Ast.test
+  | Value_step (_, source) -> (
+      match source with
+      | Some (Ast.Name_test n) -> { kinds = [ Record.Attribute ]; name = Some n }
+      | Some Ast.Text_test -> { kinds = [ Record.Text ]; name = None }
+      | Some _ -> { kinds = []; name = None }
+      | None -> { kinds = norm_kinds [ Record.Text; Record.Attribute ]; name = None })
+
 let binop_symbol (b : Xpath.Ast.binop) =
   match b with
   | Xpath.Ast.Eq -> "="

@@ -79,6 +79,22 @@ val map_literals : (string -> string) -> op -> op
     cost annotations keyed by id still apply.  This is how a prepared
     plan is bound to new literal values ({!Engine.bind}). *)
 
+val is_comparison : Xpath.Ast.binop -> bool
+(** [=], [!=], [<], [<=], [>], [>=]: the operators a [β] or positional
+    predicate may carry. *)
+
+(** {1 Node descriptions} *)
+
+type node_desc = {
+  kinds : Mass.Record.kind list;  (** possible node kinds, ⊆ over-approximation *)
+  name : string option;  (** [Some n] if every emitted node is named [n] *)
+}
+
+val desc_of : op -> node_desc
+(** Description of the nodes an operator can emit (the operator is the
+    chain top of its sub-plan): its node test, narrowed by [self::]
+    steps and by predicates that need children or attributes. *)
+
 (** {1 Printing (paper Figure 4 notation)} *)
 
 val kind_to_string : op -> string

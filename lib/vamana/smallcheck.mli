@@ -17,13 +17,15 @@
       {e every} site where it fires ({!Rewrite.applications}), must
       produce a plan whose executed node set equals the original's, and
       the rewrite must pass {!Analysis.check_rewrite};
-    - {b analysis soundness}: every {!Analysis.props_of} claim
-      (cardinality bound, static emptiness) is validated against the
-      raw {!Exec} stream of the operator's sub-plan, and every exact
+    - {b analysis soundness}: every [bound] the plan walk
+      ({!Cost.estimate_with}) claims — a cardinality bound, [0] for
+      static emptiness — is validated against the raw {!Exec} stream of
+      the operator's sub-plan, and every exact
       {!Xpath.Typecheck} step bound against the executed chain and
       {!Engine.eval};
     - {b cost-model invariants}: {!Cost.estimate_with} never produces
-      negative or NaN figures, a synopsis [chain_out] count claimed
+      negative or NaN figures (bounds included), a synopsis [chain_out]
+      count claimed
       exact equals the profiled actual raw tuple count, and no
       cost-admitted rewrite whose totals were claimed exact raises the
       actual executed total.
@@ -137,8 +139,8 @@ type report = {
 (** {1 Subjects and mutants} *)
 
 type subject
-(** What is being verified: a rule library, an analyzer, a statistics
-    source and a footprint analysis.  {!real_subject} wires in the
+(** What is being verified: a rule library, the plan walk (its bounds
+    can be mutated), a statistics source and a footprint analysis.  {!real_subject} wires in the
     production implementations; mutant subjects replace one piece with
     a deliberately unsound variant. *)
 

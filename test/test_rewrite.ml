@@ -161,7 +161,7 @@ let prop_rule_equivalence =
 let test_signature_preservation () =
   let store, doc = Test_vamana.setup () in
   let scope = Some doc.Store.doc_key in
-  let analyze p = Analysis.analyze store ~scope p in
+  let estimate p = Cost.estimate store ~scope p in
   let firing =
     [ (Rewrite.self_merge, raw_compile "//a/self::a");
       (Rewrite.descendant_merge, raw_compile "//person");
@@ -175,12 +175,11 @@ let test_signature_preservation () =
       match apply_rule rule before with
       | None -> Alcotest.fail (rule.Rewrite.name ^ " did not fire")
       | Some after ->
-          let a_before = analyze before and a_after = analyze after in
           let verdict =
             Analysis.check_rewrite
-              ~before:(Analysis.signature_of a_before before)
-              ~after:(Analysis.signature_of a_after after)
-              ~after_errors:(Analysis.errors a_after)
+              ~before:(Analysis.signature_of (estimate before) before)
+              ~after:(Analysis.signature_of (estimate after) after)
+              ~after_errors:(Analysis.structural_diagnostics after)
           in
           (match verdict with
           | Ok () -> ()
