@@ -100,6 +100,20 @@ module Make (K : KEY) : sig
 
   val mem : 'v t -> K.t -> bool
 
+  val mem_by : 'v t -> ('a -> 'b -> K.t -> int) -> 'a -> 'b -> bool
+  (** [mem_by t cmp a b]: whether a key [k] with [cmp a b k = 0] is
+      present, where [cmp a b] orders keys against a target given in two
+      parts (negative for keys before it, zero at it, positive after it),
+      consistently with [K.compare].  Reads like {!find}; with a top-level
+      [cmp] it allocates nothing, because no key or probe closure is
+      built for the target. *)
+
+  val find_warm : 'v t -> K.t -> 'v option
+  (** {!find} restricted to the fingers: when a finger's leaf holds [k]'s
+      position, that one leaf is read and the answer is {!find}'s;
+      otherwise nothing is read and the answer is [None], as for an
+      absent key.  Records no finger. *)
+
   val delete : 'v t -> K.t -> bool
   (** Remove a key; returns whether it was present. *)
 

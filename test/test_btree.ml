@@ -408,6 +408,9 @@ let cursor_at c model b =
   let back = T.step_back c in
   back = (pred <> None) && passed pred
 
+(* an int key given in two parts, tens and units, as [mem_by] takes it *)
+let split_cmp tens units k = Int.compare k ((10 * tens) + units)
+
 let prop_fingers =
   QCheck.Test.make ~name:"finger lookups agree with a sorted list" ~count:300
     (QCheck.make ~print:print_fops gen_fops) (fun ops ->
@@ -426,7 +429,17 @@ let prop_fingers =
                 model := IntMap.remove k !model
               done;
               true
-          | F_find k -> T.find t k = IntMap.find_opt k !model
+          | F_find k ->
+              let r0 = (T.stats t).Storage.Stats.logical_reads in
+              let warm = T.find_warm t k in
+              (* a warm find reads one leaf and answers like [find]; a
+                 cold one reads nothing *)
+              (match (T.stats t).Storage.Stats.logical_reads - r0 with
+               | 0 -> warm = None
+               | 1 -> warm = IntMap.find_opt k !model
+               | _ -> false)
+              && T.mem_by t split_cmp (k / 10) (k mod 10) = IntMap.mem k !model
+              && T.find t k = IntMap.find_opt k !model
           | F_seek b -> cursor_at (T.seek t (fun k -> Int.compare k b)) !model b
           | F_seek_key k -> cursor_at (T.seek_key t k) !model k)
         ops
@@ -448,8 +461,11 @@ let test_finger_reads () =
      the same path and share a finger *)
   let find () = ignore (T.find t 101) in
   let seek () = ignore (T.seek t (fun k -> Int.compare k 101)) in
+  let warm () = ignore (T.find_warm t 101) in
+  Alcotest.(check int) "a cold warm-find reads nothing" 0 (reads t warm);
   Alcotest.(check int) "first find descends" h (reads t find);
   Alcotest.(check int) "second find reads its leaf" 1 (reads t find);
+  Alcotest.(check int) "a warm find reads that leaf" 1 (reads t warm);
   Alcotest.(check int) "seek into that leaf reads it" 1 (reads t seek);
   Alcotest.(check int) "seek_key into that leaf reads it" 1
     (reads t (fun () -> ignore (T.seek_key t 101)));
@@ -486,6 +502,21 @@ let test_seek_allocates_only_its_cursor () =
   ignore (T.seek t probes.(0));
   check "hit" (run (fun _ -> probes.(0))) 1
 
+let test_mem_by_allocates_nothing () =
+  let t = mk ~order:8 (List.init 1000 (fun i -> (2 * i, i))) in
+  let calls = 10_000 in
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to calls do
+    let k = i mod 2000 in
+    if T.mem_by t split_cmp (k / 10) (k mod 10) then incr hits
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "even keys are present" (calls / 2) !hits;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d probes allocated %.0f minor words" calls words)
+    true (words <= 16.0)
+
 let suite =
   ( "btree",
     [ Alcotest.test_case "empty tree" `Quick test_empty;
@@ -507,6 +538,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_cursor_model;
       QCheck_alcotest.to_alcotest prop_cursor_steps;
       QCheck_alcotest.to_alcotest prop_fingers;
+      Alcotest.test_case "split-key membership allocates nothing" `Quick
+        test_mem_by_allocates_nothing;
       Alcotest.test_case "a finger hit reads one page" `Quick test_finger_reads;
       Alcotest.test_case "seek allocates only its cursor" `Quick
         test_seek_allocates_only_its_cursor ] )
