@@ -849,6 +849,47 @@ let child_skip_scan t parent ~yield =
 
 let non_attribute (r : Record.t) = r.Record.kind <> Record.Attribute
 
+let is_attribute t key =
+  match get t key with
+  | Some { Record.kind = Record.Attribute; _ } -> true
+  | _ -> false
+
+(* Per-context node tests of the upward axes, answered from whichever
+   index is warm.  The element at [key] is named [name] when a clustered
+   leaf finger already covers [key] and its record says so (one pinned
+   leaf away); otherwise the name index answers by membership of
+   ([name], [key]): its fingers stay on the tag's dense key range while
+   the contexts arrive in document order.  The membership probe passes
+   the tag and key apart, so it allocates no tuple. *)
+let tag_key_cmp tag k (tag', k') =
+  let c = String.compare tag' tag in
+  if c <> 0 then c else Flex.compare k' k
+
+let element_named t name key =
+  match DocTree.find_warm t.doc_index key with
+  | Some r -> r.Record.kind = Record.Element && String.equal r.Record.name name
+  | None -> TagTree.mem_by t.name_index tag_key_cmp name key
+
+(* A proper ancestor's kind follows from its depth, so only a name test
+   needs an index: only elements and document nodes have children, the
+   document nodes sit at depth 1, and depth 0 is the store root, which is
+   not a node.  The upward axes' principal kind is the element. *)
+let ancestor_matches t (test : Xpath.Ast.node_test) key depth =
+  match test with
+  | Xpath.Ast.Name_test n -> depth >= 2 && element_named t n key
+  | Xpath.Ast.Wildcard -> depth >= 2
+  | Xpath.Ast.Node_test -> depth >= 1
+  | Xpath.Ast.Text_test | Xpath.Ast.Comment_test | Xpath.Ast.Pi_test _ -> false
+
+(* the self axis: a name test needs no record either *)
+let self_matches t ~principal (test : Xpath.Ast.node_test) key =
+  match (test, principal) with
+  | Xpath.Ast.Name_test n, Record.Element -> element_named t n key
+  | _ -> (
+      match get t key with
+      | Some r -> Record.matches_test ~principal test r
+      | None -> false)
+
 (* a node of the tree axes (not an attribute) that passes the node test *)
 let tree_node_matches ~principal test r =
   non_attribute r && Record.matches_test ~principal test r
@@ -866,7 +907,7 @@ let tag_for_test ~principal (test : Xpath.Ast.node_test) =
   | Xpath.Ast.Pi_test (Some _) -> None (* target needs the record *)
   | Xpath.Ast.Wildcard | Xpath.Ast.Node_test -> None
 
-let axis_cursor t (axis : Xpath.Ast.axis) test ctx : cursor =
+let axis_cursor ?(element_context = false) t (axis : Xpath.Ast.axis) test ctx : cursor =
   let principal =
     match axis with Xpath.Ast.Attribute -> Record.Attribute | _ -> Record.Element
   in
@@ -881,9 +922,7 @@ let axis_cursor t (axis : Xpath.Ast.axis) test ctx : cursor =
         if !done_ then None
         else begin
           done_ := true;
-          match get t ctx with
-          | Some r when Record.matches_test ~principal test r -> Some ctx
-          | _ -> None
+          if self_matches t ~principal test ctx then Some ctx else None
         end
   | Xpath.Ast.Child -> (
       let lo, hi = Flex.descendants_range ctx in
@@ -917,23 +956,24 @@ let axis_cursor t (axis : Xpath.Ast.axis) test ctx : cursor =
       | Xpath.Ast.Text_test | Xpath.Ast.Comment_test | Xpath.Ast.Pi_test _ -> empty_cursor)
   | Xpath.Ast.Parent -> (
       match Flex.parent ctx with
-      | None -> empty_cursor
-      | Some p -> (
-          match get t p with
-          | Some r when Record.matches_test ~principal test r -> cursor_of_list [ p ]
-          | _ -> empty_cursor))
+      | Some p when ancestor_matches t test p (depth - 1) -> cursor_of_list [ p ]
+      | Some _ | None -> empty_cursor)
   | Xpath.Ast.Ancestor | Xpath.Ast.Ancestor_or_self ->
       (* proximity order: nearest ancestor first, up to the document node
          (the store root above it is not a node) *)
-      let next = ref (if axis = Xpath.Ast.Ancestor_or_self then Some ctx else Flex.parent ctx) in
+      let self = ref (axis = Xpath.Ast.Ancestor_or_self) in
+      let next = ref ctx and d = ref depth in
       let rec pull () =
-        match !next with
-        | Some k when not (Flex.equal k Flex.document) -> (
-            next := Flex.parent k;
-            match get t k with
-            | Some r when Record.matches_test ~principal test r -> Some k
-            | _ -> pull ())
-        | Some _ | None -> None
+        if !self then begin
+          self := false;
+          if self_matches t ~principal test ctx then Some ctx else pull ()
+        end
+        else if !d <= 1 then None
+        else begin
+          next := Flex.prefix !next (!d - 1);
+          decr d;
+          if ancestor_matches t test !next !d then Some !next else pull ()
+        end
       in
       pull
   | Xpath.Ast.Following when depth = 0 -> empty_cursor
@@ -960,9 +1000,7 @@ let axis_cursor t (axis : Xpath.Ast.axis) test ctx : cursor =
          model documents have no siblings — without this guard the axis
          would leak the other documents of a multi-document store *)
       | Some _ when depth <= 1 -> empty_cursor
-      | Some _ when (match get t ctx with
-                    | Some { Record.kind = Record.Attribute; _ } -> true
-                    | _ -> false) ->
+      | Some _ when (not element_context) && is_attribute t ctx ->
           (* attribute nodes have no siblings *)
           empty_cursor
       | Some p -> (
@@ -988,10 +1026,7 @@ let axis_cursor t (axis : Xpath.Ast.axis) test ctx : cursor =
       match Flex.parent ctx with
       | None -> empty_cursor
       | Some _ when depth <= 1 -> empty_cursor
-      | Some _ when (match get t ctx with
-                    | Some { Record.kind = Record.Attribute; _ } -> true
-                    | _ -> false) ->
-          empty_cursor
+      | Some _ when (not element_context) && is_attribute t ctx -> empty_cursor
       | Some p -> (
           let lo, _ = Flex.descendants_range p in
           let hi = Flex.Before ctx in

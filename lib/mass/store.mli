@@ -226,9 +226,25 @@ val document_rank : t -> Flex.t -> int
 
 type cursor = unit -> Flex.t option
 
-val axis_cursor : t -> Xpath.Ast.axis -> Xpath.Ast.node_test -> Flex.t -> cursor
+val axis_cursor :
+  ?element_context:bool -> t -> Xpath.Ast.axis -> Xpath.Ast.node_test -> Flex.t -> cursor
 (** All 13 axes.  Forward axes yield document order; reverse axes yield
-    reverse document order (XPath proximity order). *)
+    reverse document order (XPath proximity order).
+
+    The parent, ancestor, ancestor-or-self and self axes test each
+    candidate key without reading its record where they can.  A proper
+    ancestor's kind follows from its FLEX depth (an element below depth
+    1, the document node at depth 1), so [parent::*], [parent::node()]
+    and the other kind tests read no page.  An element name test asks
+    whichever index is warm: the clustered index when one of its leaf
+    fingers covers the key ({!Btree.Make.find_warm}, one leaf read),
+    otherwise the name index, by membership of ([name], key).  Other
+    self tests read the record.
+
+    The sibling axes read the context's record to reject an attribute
+    context (attributes have no siblings), unless [element_context]
+    (default [false]) says the caller has proved the context is an
+    element. *)
 
 val test_cursor :
   ?scope:Flex.t -> t -> principal:Record.kind -> Xpath.Ast.node_test -> cursor

@@ -22,6 +22,9 @@ and iterator = {
   prof : (Profile.ctx * Profile.slot) option;
       (** profiling slot; [None] on the uninstrumented path *)
   mutable st : [ `Initial | `Fetching | `Out_of_tuples ];
+  element_context : bool;
+      (** every context tuple is an element, as the plan proves; lets the
+          sibling axes skip the attribute check *)
   mutable root_ctx : Flex.t;  (** leaf context (meaningful when [child = None]) *)
   mutable cursor : Store.cursor option;
   mutable generic_queue : Flex.t list;  (** buffered results for [Step_generic] *)
@@ -31,10 +34,26 @@ let state it = it.st
 
 (* ---- construction ---- *)
 
-let rec build ?profile store ~context (op : Plan.op) =
-  let child = Option.map (build ?profile store ~context) op.context in
+(* whether every tuple [op] yields is an element: a step on a tree axis
+   whose test selects the principal kind, the element *)
+let yields_elements (op : Plan.op) =
+  match op.kind with
+  | Plan.Step ((Ast.Attribute | Ast.Namespace), _) -> false
+  | Plan.Step (_, (Ast.Name_test _ | Ast.Wildcard)) -> true
+  | Plan.Step _ | Plan.Root | Plan.Value_step _ | Plan.Step_generic _ -> false
+
+(* [leaf_elements]: whether the contexts the chain's leaf receives are
+   elements — false for the engine-provided context, the filtered
+   operator's verdict for a predicate sub-plan *)
+let rec build_chain ?profile ~leaf_elements store ~context (op : Plan.op) =
+  let child = Option.map (build_chain ?profile ~leaf_elements store ~context) op.context in
+  let element_context =
+    match op.context with Some c -> yields_elements c | None -> leaf_elements
+  in
   let layers =
-    List.map (fun p -> { pred = build_pred ?profile store ~context p; seen = 0 }) op.predicates
+    List.map
+      (fun p -> { pred = build_pred ?profile ~filtered:op store ~context p; seen = 0 })
+      op.predicates
   in
   let prof =
     match profile with
@@ -42,25 +61,32 @@ let rec build ?profile store ~context (op : Plan.op) =
     | Some ctx ->
         Some (ctx, Profile.slot ctx ~op_id:op.id ~label:(Plan.kind_to_string op))
   in
-  { store; op; child; layers; prof; st = `Initial; root_ctx = context; cursor = None;
-    generic_queue = [] }
+  { store; op; child; layers; prof; st = `Initial; element_context; root_ctx = context;
+    cursor = None; generic_queue = [] }
 
-and build_pred ?profile store ~context (p : Plan.pred) =
+(* a predicate's sub-plans are re-rooted at the tuples of [filtered] *)
+and build_pred ?profile ~filtered store ~context (p : Plan.pred) =
+  let pred = build_pred ?profile ~filtered store ~context in
+  let operand = build_operand ?profile ~filtered store ~context in
   match p with
-  | Plan.Exists sub -> RExists (build ?profile store ~context sub)
-  | Plan.Binary (_, cmp, a, b) ->
-      RBinary (cmp, build_operand ?profile store ~context a, build_operand ?profile store ~context b)
-  | Plan.And (a, b) -> RAnd (build_pred ?profile store ~context a, build_pred ?profile store ~context b)
-  | Plan.Or (a, b) -> ROr (build_pred ?profile store ~context a, build_pred ?profile store ~context b)
-  | Plan.Not a -> RNot (build_pred ?profile store ~context a)
+  | Plan.Exists sub -> RExists (build_sub ?profile ~filtered store ~context sub)
+  | Plan.Binary (_, cmp, a, b) -> RBinary (cmp, operand a, operand b)
+  | Plan.And (a, b) -> RAnd (pred a, pred b)
+  | Plan.Or (a, b) -> ROr (pred a, pred b)
+  | Plan.Not a -> RNot (pred a)
   | Plan.Position (cmp, n) -> RPosition (cmp, n)
   | Plan.Generic e -> RGeneric e
 
-and build_operand ?profile store ~context (o : Plan.operand) =
+and build_operand ?profile ~filtered store ~context (o : Plan.operand) =
   match o with
-  | Plan.Path_operand sub -> RPath (build ?profile store ~context sub)
+  | Plan.Path_operand sub -> RPath (build_sub ?profile ~filtered store ~context sub)
   | Plan.Literal (_, v) -> RLit v
   | Plan.Number_operand f -> RNum f
+
+and build_sub ?profile ~filtered store ~context sub =
+  build_chain ?profile ~leaf_elements:(yields_elements filtered) store ~context sub
+
+let build ?profile store ~context op = build_chain ?profile ~leaf_elements:false store ~context op
 
 (* ---- dynamic context setting (Algorithm 2) ---- *)
 
@@ -158,7 +184,9 @@ and set_cursor it ctx =
   | None -> ());
   List.iter (fun l -> l.seen <- 0) it.layers;
   match it.op.kind with
-  | Plan.Step (axis, test) -> it.cursor <- Some (Store.axis_cursor it.store axis test ctx)
+  | Plan.Step (axis, test) ->
+      it.cursor <-
+        Some (Store.axis_cursor ~element_context:it.element_context it.store axis test ctx)
   | Plan.Value_step (v, source) ->
       let raw = Store.value_cursor ~scope:ctx it.store v in
       let filtered =

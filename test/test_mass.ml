@@ -224,8 +224,10 @@ let gen_tree =
           return (Xml.Tree.Proc ("pi", "d")) ]
     else
       let* n = name in
-      let* nattr = int_range 0 2 in
-      let attr_names = List.filteri (fun i _ -> i < nattr) [ "id"; "k" ] in
+      let* nattr = int_range 0 3 in
+      (* "a" is also an element name: an attribute context must never
+         pass an element name test of the same name *)
+      let attr_names = List.filteri (fun i _ -> i < nattr) [ "id"; "a"; "k" ] in
       let* attrs = flatten_l (List.map (fun a -> map (fun v -> (a, "v" ^ v)) (string_size ~gen:(char_range 'a' 'b') (return 1))) attr_names) in
       let* nc = int_range 0 3 in
       let* children = list_size (return nc) (spec (depth - 1)) in
@@ -257,42 +259,57 @@ let all_tests =
   [ Xpath.Ast.Name_test "a"; Xpath.Ast.Name_test "person"; Xpath.Ast.Wildcard;
     Xpath.Ast.Text_test; Xpath.Ast.Node_test; Xpath.Ast.Comment_test; Xpath.Ast.Pi_test None ]
 
+(* Which index answers a per-context node test depends on the state of
+   the clustered index's leaf fingers, so every context is visited twice:
+   in preorder, and then in a seeded shuffled order.  Order 4 gives even
+   a small document a many-leaf clustered index, so both the finger path
+   and the name-index path are taken. *)
 let axis_agreement_property tree =
-      let store = Store.create () in
-      let doc = Store.load store ~name:"gen" tree in
-      let key_map = build_key_map store tree doc in
-      let ok = ref true in
-      Xml.Tree.iter_preorder
-        (fun n ->
-          let ctx = Hashtbl.find key_map n.Xml.Tree.id in
-          List.iter
-            (fun axis ->
-              List.iter
-                (fun test ->
-                  let expected =
-                    Baselines.Dom_nav.select axis test n
-                    |> List.map (fun (m : Xml.Tree.node) -> Hashtbl.find key_map m.Xml.Tree.id)
-                  in
-                  let actual =
-                    let c = Store.axis_cursor store axis test ctx in
-                    let rec go acc =
-                      match c () with Some k -> go (k :: acc) | None -> List.rev acc
-                    in
-                    go []
-                  in
-                  if not (List.equal Flex.equal expected actual) then begin
-                    ok := false;
-                    Printf.eprintf "MISMATCH axis=%s test=%s ctx=%s\n  expected: %s\n  actual:   %s\n"
-                      (Xpath.Ast.axis_name axis)
-                      (Xpath.Ast.node_test_to_string test)
-                      (Flex.to_string ctx)
-                      (String.concat "," (List.map Flex.to_string expected))
-                      (String.concat "," (List.map Flex.to_string actual))
-                  end)
-                all_tests)
-            Xpath.Ast.all_axes)
-        tree;
-      !ok
+  let store = Store.create ~order:4 () in
+  let doc = Store.load store ~name:"gen" tree in
+  let key_map = build_key_map store tree doc in
+  let nodes = Array.of_list (List.rev (Xml.Tree.fold_preorder (fun acc n -> n :: acc) [] tree)) in
+  let shuffled = Array.copy nodes in
+  let rng = Random.State.make [| Array.length nodes |] in
+  for i = Array.length shuffled - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = shuffled.(i) in
+    shuffled.(i) <- shuffled.(j);
+    shuffled.(j) <- x
+  done;
+  let ok = ref true in
+  let check (n : Xml.Tree.node) =
+    let ctx = Hashtbl.find key_map n.Xml.Tree.id in
+    List.iter
+      (fun axis ->
+        List.iter
+          (fun test ->
+            let expected =
+              Baselines.Dom_nav.select axis test n
+              |> List.map (fun (m : Xml.Tree.node) -> Hashtbl.find key_map m.Xml.Tree.id)
+            in
+            let actual =
+              let c = Store.axis_cursor store axis test ctx in
+              let rec go acc =
+                match c () with Some k -> go (k :: acc) | None -> List.rev acc
+              in
+              go []
+            in
+            if not (List.equal Flex.equal expected actual) then begin
+              ok := false;
+              Printf.eprintf "MISMATCH axis=%s test=%s ctx=%s\n  expected: %s\n  actual:   %s\n"
+                (Xpath.Ast.axis_name axis)
+                (Xpath.Ast.node_test_to_string test)
+                (Flex.to_string ctx)
+                (String.concat "," (List.map Flex.to_string expected))
+                (String.concat "," (List.map Flex.to_string actual))
+            end)
+          all_tests)
+      Xpath.Ast.all_axes
+  in
+  Array.iter check nodes;
+  Array.iter check shuffled;
+  !ok
 
 let prop_axis_agreement =
   QCheck.Test.make ~name:"MASS axis cursors agree with DOM reference" ~count:60

@@ -579,6 +579,51 @@ let test_nonstandard_positional () =
       Alcotest.(check int) "two odd positions" 2 (List.length r.Engine.keys)
   | Error e -> Alcotest.fail e
 
+(* Attribute nodes have no siblings.  The sibling axes skip the record
+   read that rejects an attribute context only where the plan proves the
+   contexts are elements, so attribute contexts, in the main chain and
+   inside a predicate, must still select nothing. *)
+let test_sibling_axes_from_attributes () =
+  let store, doc = setup () in
+  let context = doc.Store.doc_key in
+  List.iter
+    (fun src ->
+      let expected = run_nav store ~context src in
+      Alcotest.(check string) (src ^ ": evaluator") "" (keys_to_string expected);
+      List.iter
+        (fun optimize ->
+          match Engine.query ~optimize store ~context src with
+          | Ok r -> Alcotest.(check string) src "" (keys_to_string r.Engine.keys)
+          | Error e -> Alcotest.fail e)
+        [ false; true ])
+    [ "//@id/following-sibling::node()"; "//person/@id/preceding-sibling::*";
+      "//person[@id/following-sibling::*]"; "//watch[@open_auction/preceding-sibling::node()]";
+      "//watch/@open_auction/following-sibling::watch" ];
+  (* the same shapes from element contexts do select *)
+  List.iter (check_engine_agrees ~optimize:true store doc)
+    [ "//person[name/following-sibling::*]"; "//watch/following-sibling::watch" ]
+
+(* Layer pin: the optimized //person/address (descendant::address
+   filtered by parent::person) tests each address's parent in the name
+   index, so executing it reads no page of the clustered index. *)
+let test_parent_test_reads_no_records () =
+  let store = Store.create () in
+  let doc = Xmark.load ~seed:42L store 0.5 in
+  let context = doc.Store.doc_key in
+  let prepared =
+    match
+      Engine.prepare store ~scope:(Engine.scope_of_context context) "//person/address"
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let doc_index () = Storage.Stats.copy (List.assoc "doc_index" (Store.io_by_index store)) in
+  let before = doc_index () in
+  let r = Engine.execute_prepared store ~context prepared in
+  Alcotest.(check int) "addresses" 63 (List.length r.Engine.keys);
+  let reads = (Storage.Stats.diff (doc_index ()) before).Storage.Stats.logical_reads in
+  Alcotest.(check int) "doc_index reads" 0 reads
+
 (* Engine.bind: the plan is kept, every literal-dependent verdict is
    re-derived for the new value *)
 let test_bind_rederives_verdicts () =
@@ -644,4 +689,8 @@ let suite =
       Alcotest.test_case "timings and io" `Quick test_engine_timings_and_io;
       Alcotest.test_case "query_store over multiple documents" `Quick test_query_store_multidoc;
       Alcotest.test_case "non-standard positional predicates" `Quick test_nonstandard_positional;
+      Alcotest.test_case "sibling axes from attribute contexts stay empty" `Quick
+        test_sibling_axes_from_attributes;
+      Alcotest.test_case "parent test reads no clustered records" `Quick
+        test_parent_test_reads_no_records;
       QCheck_alcotest.to_alcotest prop_engine_matches_evaluator ] )
