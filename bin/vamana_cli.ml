@@ -453,7 +453,7 @@ let run_lint file xmark_mb snapshot data_dir no_optimize json queries_file query
                    ("typecheck", typecheck_json rep);
                    ("footprint", Vamana.Footprint.to_json fp);
                    ( "branches",
-                     J.Arr (List.map (fun (plan, table, _) -> A.to_json table plan) branches) ) ])
+                     J.Arr (List.map (fun (plan, table, ds) -> A.to_json table plan ds) branches) ) ])
          results
      in
      print_endline

@@ -239,14 +239,11 @@ let diagnostic_to_string d =
   Printf.sprintf "%s [%s] %s: %s" (Typecheck.severity_to_string d.severity) d.code d.op_label
     d.message
 
-let pp_annotated costed ppf plan =
+let pp_tree annot_stats costed ppf plan =
   let annot (op : Plan.op) =
     match Hashtbl.find_opt costed op.Plan.id with
     | None -> ""
-    | Some (s : Cost.stats) ->
-        let tc = match s.Cost.tc with Some n -> Printf.sprintf " TC=%d" n | None -> "" in
-        Printf.sprintf "  {card≤%d}  {COUNT=%d%s IN=%d OUT=%d}" s.Cost.bound s.Cost.count tc
-          s.Cost.input s.Cost.output
+    | Some s -> annot_stats s
   in
   let line indent text = Format.fprintf ppf "%s%s@." (String.make indent ' ') text in
   let rec pp_op indent (op : Plan.op) =
@@ -284,6 +281,14 @@ let pp_annotated costed ppf plan =
   in
   pp_op 0 plan
 
+let pp_annotated =
+  pp_tree (fun (s : Cost.stats) ->
+      let tc = match s.Cost.tc with Some n -> Printf.sprintf " TC=%d" n | None -> "" in
+      Printf.sprintf "  {card≤%d}  {COUNT=%d%s IN=%d OUT=%d}" s.Cost.bound s.Cost.count tc
+        s.Cost.input s.Cost.output)
+
+let pp_bounds = pp_tree (fun (s : Cost.stats) -> Printf.sprintf "  {card≤%d}" s.Cost.bound)
+
 let diagnostic_json d =
   Json.Obj
     [ ("severity", Json.Str (Typecheck.severity_to_string d.severity));
@@ -291,7 +296,7 @@ let diagnostic_json d =
       ("op", Json.Str d.op_label);
       ("message", Json.Str d.message) ]
 
-let to_json costed plan =
+let to_json costed plan diagnostics =
   let operators =
     List.filter_map
       (fun (op : Plan.op) ->
@@ -308,4 +313,4 @@ let to_json costed plan =
     [ ("statically_empty", Json.Bool (statically_empty costed plan));
       ("root", Json.Obj [ ("card_max", Json.Int (entry costed plan).Cost.bound) ]);
       ("operators", Json.Arr operators);
-      ("diagnostics", Json.Arr (List.map diagnostic_json (diagnostics costed plan))) ]
+      ("diagnostics", Json.Arr (List.map diagnostic_json diagnostics)) ]

@@ -78,6 +78,11 @@ val pp_annotated : Cost.costed -> Format.formatter -> Plan.op -> unit
 (** Plan tree annotated with each operator's bound and Table I estimate
     (paper Figures 6 and 7). *)
 
-val to_json : Cost.costed -> Plan.op -> Profile.Json.t
-(** Self-contained JSON: root and per-operator [card_max], diagnostics,
+val pp_bounds : Cost.costed -> Format.formatter -> Plan.op -> unit
+(** The same tree with the bounds only, for output that shows the
+    Table I estimates elsewhere (an execution profile). *)
+
+val to_json : Cost.costed -> Plan.op -> diagnostic list -> Profile.Json.t
+(** Self-contained JSON: root and per-operator [card_max], the given
+    diagnostics (the plan's {!diagnostics}, built once by the caller),
     the static-emptiness verdict. *)

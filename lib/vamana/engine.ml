@@ -441,7 +441,10 @@ let explain_analyze ?(optimize = true) ?(json = false) store doc src =
       match r.profile with
       | None -> Error "profiling produced no report"
       | Some rep ->
-          let table = Cost.estimate store ~scope:(Some doc.Store.doc_key) r.executed_plan in
+          (* the profile's table: its bounds and verdicts read no
+             synopsis, so they are the ones a fresh walk would give *)
+          let table = rep.Profile.cost in
+          let diagnostics = Analysis.diagnostics table r.executed_plan in
           if json then
             Ok
               (Profile.Json.to_string
@@ -449,7 +452,7 @@ let explain_analyze ?(optimize = true) ?(json = false) store doc src =
                     [ ("query", Profile.Json.Str src);
                       ("results", Profile.Json.Int (List.length r.keys));
                       ("report", Profile.render_json rep);
-                      ("analysis", Analysis.to_json table r.executed_plan);
+                      ("analysis", Analysis.to_json table r.executed_plan diagnostics);
                       ("footprint", Footprint.to_json (Footprint.of_plan r.executed_plan));
                       ( "attribution",
                         let a = r.attribution in
@@ -463,12 +466,10 @@ let explain_analyze ?(optimize = true) ?(json = false) store doc src =
                             ("fsyncs", Profile.Json.Int a.attr_fsyncs) ] ) ]))
           else
             let props_section =
-              Format.asprintf "Static properties:@.%a"
-                (Analysis.pp_annotated table)
-                r.executed_plan
+              Format.asprintf "Static properties:@.%a" (Analysis.pp_bounds table) r.executed_plan
             in
             let diag_section =
-              match Analysis.diagnostics table r.executed_plan with
+              match diagnostics with
               | [] -> ""
               | ds ->
                   "Diagnostics:\n"

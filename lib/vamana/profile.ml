@@ -102,6 +102,7 @@ type node = {
 
 type report = {
   plan : node;
+  cost : Cost.costed;
   spans : span list;
   total_time : float;
   root_q_error : float;
@@ -159,7 +160,7 @@ let make ctx ~cost ?(spans = []) ~total_time (plan : Plan.op) =
       (fun acc n -> match n.q_error with Some q when q > acc -> q | _ -> acc)
       1.0 tree
   in
-  { plan = tree; spans; total_time; root_q_error; max_q_error }
+  { plan = tree; cost; spans; total_time; root_q_error; max_q_error }
 
 (* ---- rendering ---- *)
 

@@ -77,6 +77,9 @@ type node = {
 
 type report = {
   plan : node;
+  cost : Cost.costed;
+      (** the table {!make} joined against: its bounds and verdicts serve
+          a plan's diagnostics without a second walk *)
   spans : span list;
   total_time : float;  (** execution wall seconds *)
   root_q_error : float;  (** plan-cardinality q-error at the root *)

@@ -161,7 +161,7 @@ let test_replan_backoff () =
       q_error = Some 16.0; preds = []; context = None }
   in
   let rep =
-    { Vamana.Profile.plan = node; spans = []; total_time = 0.0;
+    { Vamana.Profile.plan = node; cost = Hashtbl.create 1; spans = []; total_time = 0.0;
       root_q_error = 16.0; max_q_error = 16.0 }
   in
   let observe () = ignore (Health.observe h r ~epoch:1 ~latency:0.0 ~pages:0 ~results:0 rep) in

@@ -203,7 +203,21 @@ let test_explain_analyze_render () =
   let store, doc = setup () in
   (match Engine.explain_analyze store doc "//a/b" with
   | Error e -> Alcotest.fail e
-  | Ok text -> Alcotest.(check bool) "mentions q-error" true (contains ~sub:"q-error" text));
+  | Ok text ->
+      Alcotest.(check bool) "mentions q-error" true (contains ~sub:"q-error" text);
+      (* the static section shows the bounds; the Table I estimates are
+         the profile's est{...} above it *)
+      let static =
+        let marker = "Static properties:" in
+        let rec find i =
+          if String.sub text i (String.length marker) = marker then i else find (i + 1)
+        in
+        let i = find 0 in
+        String.sub text i (String.length text - i)
+      in
+      Alcotest.(check bool) "bounds in the static section" true (contains ~sub:"{card≤" static);
+      Alcotest.(check bool) "no estimates in the static section" false
+        (contains ~sub:"COUNT=" static));
   match Engine.explain_analyze ~json:true store doc "//a/b" with
   | Error e -> Alcotest.fail e
   | Ok text -> (
