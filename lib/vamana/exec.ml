@@ -42,19 +42,33 @@ let yields_elements (op : Plan.op) =
   | Plan.Step (_, (Ast.Name_test _ | Ast.Wildcard)) -> true
   | Plan.Step _ | Plan.Root | Plan.Value_step _ | Plan.Step_generic _ -> false
 
+(* [sub] builds the sub-plans, which are re-rooted at each candidate *)
+let rec build_pred sub (p : Plan.pred) =
+  match p with
+  | Plan.Exists op -> RExists (sub op)
+  | Plan.Binary (_, cmp, a, b) -> RBinary (cmp, build_operand sub a, build_operand sub b)
+  | Plan.And (a, b) -> RAnd (build_pred sub a, build_pred sub b)
+  | Plan.Or (a, b) -> ROr (build_pred sub a, build_pred sub b)
+  | Plan.Not a -> RNot (build_pred sub a)
+  | Plan.Position (cmp, n) -> RPosition (cmp, n)
+  | Plan.Generic e -> RGeneric e
+
+and build_operand sub (o : Plan.operand) =
+  match o with
+  | Plan.Path_operand op -> RPath (sub op)
+  | Plan.Literal (_, v) -> RLit v
+  | Plan.Number_operand f -> RNum f
+
 (* [leaf_elements]: whether the contexts the chain's leaf receives are
-   elements — false for the engine-provided context, the filtered
-   operator's verdict for a predicate sub-plan *)
+   elements — false for the engine-provided context; for a predicate
+   sub-plan, whether the filtered operator yields elements *)
 let rec build_chain ?profile ~leaf_elements store ~context (op : Plan.op) =
   let child = Option.map (build_chain ?profile ~leaf_elements store ~context) op.context in
   let element_context =
     match op.context with Some c -> yields_elements c | None -> leaf_elements
   in
-  let layers =
-    List.map
-      (fun p -> { pred = build_pred ?profile ~filtered:op store ~context p; seen = 0 })
-      op.predicates
-  in
+  let sub = build_chain ?profile ~leaf_elements:(yields_elements op) store ~context in
+  let layers = List.map (fun p -> { pred = build_pred sub p; seen = 0 }) op.predicates in
   let prof =
     match profile with
     | None -> None
@@ -63,28 +77,6 @@ let rec build_chain ?profile ~leaf_elements store ~context (op : Plan.op) =
   in
   { store; op; child; layers; prof; st = `Initial; element_context; root_ctx = context;
     cursor = None; generic_queue = [] }
-
-(* a predicate's sub-plans are re-rooted at the tuples of [filtered] *)
-and build_pred ?profile ~filtered store ~context (p : Plan.pred) =
-  let pred = build_pred ?profile ~filtered store ~context in
-  let operand = build_operand ?profile ~filtered store ~context in
-  match p with
-  | Plan.Exists sub -> RExists (build_sub ?profile ~filtered store ~context sub)
-  | Plan.Binary (_, cmp, a, b) -> RBinary (cmp, operand a, operand b)
-  | Plan.And (a, b) -> RAnd (pred a, pred b)
-  | Plan.Or (a, b) -> ROr (pred a, pred b)
-  | Plan.Not a -> RNot (pred a)
-  | Plan.Position (cmp, n) -> RPosition (cmp, n)
-  | Plan.Generic e -> RGeneric e
-
-and build_operand ?profile ~filtered store ~context (o : Plan.operand) =
-  match o with
-  | Plan.Path_operand sub -> RPath (build_sub ?profile ~filtered store ~context sub)
-  | Plan.Literal (_, v) -> RLit v
-  | Plan.Number_operand f -> RNum f
-
-and build_sub ?profile ~filtered store ~context sub =
-  build_chain ?profile ~leaf_elements:(yields_elements filtered) store ~context sub
 
 let build ?profile store ~context op = build_chain ?profile ~leaf_elements:false store ~context op
 
